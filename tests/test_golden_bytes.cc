@@ -546,4 +546,90 @@ TEST(GoldenTimelineBytes, DiurnalTroughHarvestsDeepResidency)
     EXPECT_GT(peak->requests, 2 * trough->requests);
 }
 
+// ----------------------------------------- every coordinate column
+
+/** A single-server grid sweeping every optional axis at two values
+ *  each. The 40 W cap is never reached at this load, so power-cap
+ *  model changes leave these bytes alone. */
+exp::ExperimentSpec
+allAxesSpec()
+{
+    exp::ExperimentSpec spec;
+    spec.name = "all-axes";
+    spec.workloads = {"memcached"};
+    spec.configs = {"aw"};
+    spec.governors = {"menu", "teo"};
+    spec.freqPolicies = {"performance", "racetohalt"};
+    spec.sloUs = {0.0, 8.0};
+    spec.capWatts = {0.0, 40.0};
+    spec.qps = {50e3};
+    spec.replicas = 2;
+    spec.seconds = 0.004;
+    spec.seed = 42;
+    return spec;
+}
+
+/** Round-robin fleet points with every optional column set, the
+ *  timeline and the request trace on. qps x variants pins the one
+ *  place where column order (policy,variant,servers,qps,replica)
+ *  differs from expansion order (policy,servers,qps,variant,
+ *  replica): indices and seeds follow the latter. */
+exp::ExperimentSpec
+allAxesFleetSpec()
+{
+    exp::ExperimentSpec spec;
+    spec.name = "all-axes-fleet";
+    spec.workloads = {"memcached"};
+    spec.configs = {"aw"};
+    spec.governors = {"menu"};
+    spec.freqPolicies = {"ondemand"};
+    spec.sloUs = {8.0};
+    spec.capWatts = {40.0};
+    spec.policies = {"round-robin"};
+    spec.fleetSizes = {2};
+    spec.qps = {50e3, 100e3};
+    spec.variants = {"a", "b"};
+    spec.seconds = 0.01;
+    spec.timelineIntervalSeconds = 0.005;
+    spec.traceRequests = true;
+    spec.seed = 42;
+    return spec;
+}
+
+class GoldenBytesAllAxes
+    : public ::testing::TestWithParam<unsigned /*threads*/>
+{};
+
+TEST_P(GoldenBytesAllAxes, SweepCsvAndJsonMatchGolden)
+{
+    const auto result =
+        exp::SweepRunner(GetParam()).run(allAxesSpec());
+    EXPECT_EQ(exp::toCsv(result), readGolden("all_axes.csv"));
+    EXPECT_EQ(exp::toJson(result), readGolden("all_axes.json"));
+}
+
+TEST_P(GoldenBytesAllAxes, EverySweepEmitterMatchesGolden)
+{
+    const auto result =
+        exp::SweepRunner(GetParam()).run(allAxesFleetSpec());
+    EXPECT_EQ(exp::toCsv(result), readGolden("all_axes_fleet.csv"));
+    EXPECT_EQ(exp::toJson(result),
+              readGolden("all_axes_fleet.json"));
+    EXPECT_EQ(exp::toTimelineCsv(result),
+              readGolden("all_axes_fleet_timeline.csv"));
+    EXPECT_EQ(exp::toTimelineJson(result),
+              readGolden("all_axes_fleet_timeline.json"));
+    EXPECT_EQ(exp::toTraceCsv(result),
+              readGolden("all_axes_fleet_trace.csv"));
+    EXPECT_EQ(exp::toTraceJson(result),
+              readGolden("all_axes_fleet_trace.json"));
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, GoldenBytesAllAxes,
+                         ::testing::Values(1u, 8u),
+                         [](const auto &info) {
+                             return "threads" +
+                                    std::to_string(info.param);
+                         });
+
 } // namespace
