@@ -5,6 +5,7 @@
 #include <queue>
 #include <set>
 
+#include "analysis/observers.hh"
 #include "cap/powercap.hh"
 #include "cstate/governors.hh"
 #include "freq/policies.hh"
@@ -424,28 +425,15 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
         // the idle-reference slot reuse below bit-identical.
         if (redistribute && !cap_spans[i].empty())
             srv.setCapSchedule(cap_spans[i]);
-        std::optional<analysis::TimelineRecorder> recorder;
-        std::optional<analysis::RequestTracer> tracer;
-        server::TelemetryFanout fanout;
-        if (_timeline)
-            recorder.emplace(*_timeline, scfg.cores);
-        if (_requestTrace)
-            tracer.emplace(*_requestTrace, scfg.cores);
-        if (recorder && tracer) {
-            fanout.add(&*recorder);
-            fanout.add(&*tracer);
-            srv.setObserver(&fanout);
-        } else if (recorder) {
-            srv.setObserver(&*recorder);
-        } else if (tracer) {
-            srv.setObserver(&*tracer);
-        }
+        analysis::ServerTelemetry telemetry(_timeline, _requestTrace,
+                                            scfg.cores);
+        telemetry.attach(srv);
         ServerSlot &slot = slots[i];
         slot.result = srv.run(duration, warmup);
-        if (recorder)
-            slot.timeline = recorder->series();
-        if (tracer)
-            slot.trace = tracer->series();
+        if (telemetry.recorder)
+            slot.timeline = telemetry.recorder->series();
+        if (telemetry.tracer)
+            slot.trace = telemetry.tracer->series();
         slot.latency = srv.latencySamples();
     };
 

@@ -1,9 +1,13 @@
 #include "exp/emit.hh"
 
+#include <algorithm>
 #include <cstdio>
+#include <variant>
+#include <vector>
 
 #include "analysis/sampler.hh"
 #include "analysis/trace.hh"
+#include "exp/axis.hh"
 #include "sim/logging.hh"
 
 namespace aw::exp {
@@ -77,63 +81,70 @@ static_assert(sizeof(kResidencyColumns) /
               cstate::kNumCStates);
 
 /**
- * Optional coordinate columns (DVFS and power-cap axes) appear only
- * when the spec actually swept the corresponding axis, so artifacts
- * of specs without a frequency or cap axis (every pre-DVFS and
- * pre-cap spec) stay byte-identical.
+ * The shared coordinate prefix of every artifact row: the grid
+ * index, then each axis in column order. Optional columns appear
+ * only when the spec swept their axis, so artifacts of specs
+ * without them keep their bytes.
  */
-struct AxisColumns
+class Coordinates
 {
-    explicit AxisColumns(const SweepResult &result)
-        : freq(!result.spec.freqPolicies.empty()),
-          slo(!result.spec.sloUs.empty()),
-          cap(!result.spec.capWatts.empty())
-    {}
-
-    /** Append ",freq_policy" / ",slo_us" / ",cap_w" headers. */
-    void header(std::string &out) const
+  public:
+    explicit Coordinates(const ExperimentSpec &spec)
     {
-        if (freq)
-            out += ",freq_policy";
-        if (slo)
-            out += ",slo_us";
-        if (cap)
-            out += ",cap_w";
+        for (const Axis &a : axes())
+            if (!a.optionalColumn || a.swept(spec))
+                _columns.push_back(&a);
+        std::ranges::sort(_columns, {}, &Axis::column);
     }
 
-    /** Append this point's optional-coordinate CSV fields. */
-    void csv(std::string &out, const GridPoint &pt) const
+    /** "index,workload,...,replica" */
+    std::string header() const
     {
-        if (freq) {
+        std::string out = "index";
+        for (const Axis *a : _columns) {
             out += ',';
-            out += csvField(pt.freqPolicy);
+            out += a->key;
         }
-        if (slo) {
-            out += ',';
-            out += num(pt.sloUs);
-        }
-        if (cap) {
-            out += ',';
-            out += num(pt.capWatts);
-        }
+        return out;
     }
 
-    /** Append the '"freq_policy": ..., ' JSON members. */
-    void json(std::string &out, const GridPoint &pt) const
+    /** "<index>,<workload>,...,<replica>" */
+    std::string csv(const GridPoint &pt) const
     {
-        if (freq)
-            out +=
-                "\"freq_policy\": " + jsonString(pt.freqPolicy) +
-                ", ";
-        if (slo)
-            out += "\"slo_us\": " + num(pt.sloUs) + ", ";
-        if (cap)
-            out += "\"cap_w\": " + num(pt.capWatts) + ", ";
+        std::string out = sim::strprintf("%zu", pt.index);
+        for (const Axis *a : _columns)
+            out += ',' + field(*a, pt, csvField);
+        return out;
     }
 
-    bool freq;
-    bool slo;
-    bool cap;
+    /** "\"index\": <index>, \"workload\": ..., " */
+    std::string json(const GridPoint &pt) const
+    {
+        std::string out = sim::strprintf("\"index\": %zu, ", pt.index);
+        for (const Axis *a : _columns)
+            out += sim::strprintf("\"%s\": %s, ", a->key,
+                                  field(*a, pt, jsonString).c_str());
+        return out;
+    }
+
+  private:
+    /** Strings through @p quote, numbers as everywhere else. */
+    static std::string field(const Axis &a, const GridPoint &pt,
+                             std::string (*quote)(const std::string &))
+    {
+        return std::visit(
+            [quote](auto v) {
+                if constexpr (std::is_pointer_v<decltype(v)>)
+                    return quote(*v);
+                else if constexpr (std::is_same_v<decltype(v), double>)
+                    return num(v);
+                else
+                    return sim::strprintf("%u", v);
+            },
+            a.value(pt));
+    }
+
+    std::vector<const Axis *> _columns;
 };
 
 } // namespace
@@ -141,10 +152,8 @@ struct AxisColumns
 std::string
 csvHeader(const SweepResult &result)
 {
-    std::string h = "index,workload,config,governor";
-    AxisColumns(result).header(h);
-    h += ",policy,variant,servers,qps,"
-         "replica,seed,requests,achieved_qps,window_s,power_w,"
+    std::string h = Coordinates(result.spec).header();
+    h += ",seed,requests,achieved_qps,window_s,power_w,"
          "mj_per_request,avg_latency_us,p99_latency_us,deep_idle,"
          "min_server_deep,max_server_deep,busiest_share";
     for (const char *col : kResidencyColumns) {
@@ -165,20 +174,12 @@ toCsv(const SweepResult &result)
 {
     std::string out = csvHeader(result);
     out += '\n';
-    const AxisColumns dvfs(result);
+    const Coordinates coords(result.spec);
     for (const auto &p : result.points) {
         const auto &pt = p.point;
-        out += sim::strprintf("%zu,%s,%s,%s", pt.index,
-                              csvField(pt.workload).c_str(),
-                              csvField(pt.config).c_str(),
-                              csvField(pt.governor).c_str());
-        dvfs.csv(out, pt);
+        out += coords.csv(pt);
         out += sim::strprintf(
-            ",%s,%s,%u,%s,%u,%llu,%llu",
-            csvField(pt.policy).c_str(),
-            csvField(pt.variant).c_str(), pt.servers,
-            num(pt.qps).c_str(), pt.replica,
-            static_cast<unsigned long long>(pt.seed),
+            ",%llu,%llu", static_cast<unsigned long long>(pt.seed),
             static_cast<unsigned long long>(p.requests));
         for (const double v :
              {p.achievedQps, p.windowSeconds, p.powerW,
@@ -212,22 +213,14 @@ toJson(const SweepResult &result)
                           static_cast<unsigned long long>(spec.seed));
     out += sim::strprintf("  \"replicas\": %u,\n", spec.replicas);
     out += sim::strprintf("  \"points\": [");
-    const AxisColumns dvfs(result);
+    const Coordinates coords(spec);
     for (std::size_t i = 0; i < result.points.size(); ++i) {
         const auto &p = result.points[i];
         const auto &pt = p.point;
         out += i ? ",\n    {" : "\n    {";
-        out += sim::strprintf("\"index\": %zu, ", pt.index);
-        out += "\"workload\": " + jsonString(pt.workload) + ", ";
-        out += "\"config\": " + jsonString(pt.config) + ", ";
-        out += "\"governor\": " + jsonString(pt.governor) + ", ";
-        dvfs.json(out, pt);
-        out += "\"policy\": " + jsonString(pt.policy) + ", ";
-        out += "\"variant\": " + jsonString(pt.variant) + ", ";
+        out += coords.json(pt);
         out += sim::strprintf(
-            "\"servers\": %u, \"qps\": %s, \"replica\": %u, "
             "\"seed\": %llu, \"requests\": %llu",
-            pt.servers, num(pt.qps).c_str(), pt.replica,
             static_cast<unsigned long long>(pt.seed),
             static_cast<unsigned long long>(p.requests));
         const std::pair<const char *, double> metrics[] = {
@@ -302,25 +295,13 @@ toTimelineCsv(const SweepResult &result)
                   static_cast<unsigned long long>(series.dropped),
                   static_cast<unsigned long long>(series.emitted));
     }
-    const AxisColumns dvfs(result);
-    out += "index,workload,config,governor";
-    dvfs.header(out);
-    out += ",policy,variant,servers,qps,replica,";
+    const Coordinates coords(result.spec);
+    out += coords.header() + ',';
     out += analysis::timelineCsvHeader();
     out += '\n';
     for (const auto &p : result.points) {
         const auto &series = pointTimeline(p);
-        const auto &pt = p.point;
-        std::string prefix = sim::strprintf(
-            "%zu,%s,%s,%s", pt.index,
-            csvField(pt.workload).c_str(),
-            csvField(pt.config).c_str(),
-            csvField(pt.governor).c_str());
-        dvfs.csv(prefix, pt);
-        prefix += sim::strprintf(
-            ",%s,%s,%u,%s,%u,", csvField(pt.policy).c_str(),
-            csvField(pt.variant).c_str(), pt.servers,
-            num(pt.qps).c_str(), pt.replica);
+        const std::string prefix = coords.csv(p.point) + ',';
         for (const auto &s : series.samples) {
             out += prefix;
             out += analysis::timelineCsvRow(series, s);
@@ -343,26 +324,17 @@ toTimelineJson(const SweepResult &result)
     out += sim::strprintf("  \"interval_s\": %s,\n",
                           num(spec.timelineIntervalSeconds).c_str());
     out += "  \"points\": [";
-    const AxisColumns dvfs(result);
+    const Coordinates coords(spec);
     for (std::size_t i = 0; i < result.points.size(); ++i) {
         const auto &p = result.points[i];
         const auto &series = pointTimeline(p);
-        const auto &pt = p.point;
         out += i ? ",\n    {" : "\n    {";
-        out += sim::strprintf("\"index\": %zu, ", pt.index);
-        out += "\"workload\": " + jsonString(pt.workload) + ", ";
-        out += "\"config\": " + jsonString(pt.config) + ", ";
-        out += "\"governor\": " + jsonString(pt.governor) + ", ";
-        dvfs.json(out, pt);
-        out += "\"policy\": " + jsonString(pt.policy) + ", ";
-        out += "\"variant\": " + jsonString(pt.variant) + ", ";
+        out += coords.json(p.point);
         out += sim::strprintf(
-            "\"servers\": %u, \"qps\": %s, \"replica\": %u, "
             "\"cores\": %u, \"intervals_emitted\": %llu, "
             "\"intervals_dropped\": %llu, "
             "\"idle_observations\": %llu, "
             "\"idle_observation_mismatches\": %llu",
-            pt.servers, num(pt.qps).c_str(), pt.replica,
             series.cores,
             static_cast<unsigned long long>(series.emitted),
             static_cast<unsigned long long>(series.dropped),
@@ -410,11 +382,9 @@ toTraceCsv(const SweepResult &result)
 {
     std::string out =
         sim::strprintf("# %s\n", analysis::kTraceSchema);
-    const AxisColumns dvfs(result);
-    out += "index,workload,config,governor";
-    dvfs.header(out);
-    out += ",policy,variant,servers,"
-           "qps,replica,spans,emitted,dropped,p99_threshold_us,"
+    const Coordinates coords(result.spec);
+    out += coords.header();
+    out += ",spans,emitted,dropped,p99_threshold_us,"
            "p999_threshold_us,p999_latency_us,all_wake_share,"
            "all_queue_share,all_service_share,all_routing_share,"
            "p99_mean_latency_us,p99_mean_wake_us,p99_mean_queue_us,"
@@ -429,17 +399,9 @@ toTraceCsv(const SweepResult &result)
     out += '\n';
     for (const auto &p : result.points) {
         const auto &attr = pointTrace(p);
-        const auto &pt = p.point;
-        out += sim::strprintf("%zu,%s,%s,%s", pt.index,
-                              csvField(pt.workload).c_str(),
-                              csvField(pt.config).c_str(),
-                              csvField(pt.governor).c_str());
-        dvfs.csv(out, pt);
+        out += coords.csv(p.point);
         out += sim::strprintf(
-            ",%s,%s,%u,%s,%u,%llu,%llu,%llu",
-            csvField(pt.policy).c_str(),
-            csvField(pt.variant).c_str(), pt.servers,
-            num(pt.qps).c_str(), pt.replica,
+            ",%llu,%llu,%llu",
             static_cast<unsigned long long>(attr.spans),
             static_cast<unsigned long long>(attr.emitted),
             static_cast<unsigned long long>(attr.dropped));
@@ -478,24 +440,15 @@ toTraceJson(const SweepResult &result)
                           static_cast<unsigned long long>(spec.seed));
     out += sim::strprintf("  \"replicas\": %u,\n", spec.replicas);
     out += "  \"points\": [";
-    const AxisColumns dvfs(result);
+    const Coordinates coords(spec);
     for (std::size_t i = 0; i < result.points.size(); ++i) {
         const auto &p = result.points[i];
         const auto &attr = pointTrace(p);
-        const auto &pt = p.point;
         out += i ? ",\n    {" : "\n    {";
-        out += sim::strprintf("\"index\": %zu, ", pt.index);
-        out += "\"workload\": " + jsonString(pt.workload) + ", ";
-        out += "\"config\": " + jsonString(pt.config) + ", ";
-        out += "\"governor\": " + jsonString(pt.governor) + ", ";
-        dvfs.json(out, pt);
-        out += "\"policy\": " + jsonString(pt.policy) + ", ";
-        out += "\"variant\": " + jsonString(pt.variant) + ", ";
+        out += coords.json(p.point);
         out += sim::strprintf(
-            "\"servers\": %u, \"qps\": %s, \"replica\": %u, "
             "\"spans\": %llu, \"emitted\": %llu, "
             "\"dropped\": %llu",
-            pt.servers, num(pt.qps).c_str(), pt.replica,
             static_cast<unsigned long long>(attr.spans),
             static_cast<unsigned long long>(attr.emitted),
             static_cast<unsigned long long>(attr.dropped));

@@ -3,7 +3,9 @@
 #include <chrono>
 #include <deque>
 
+#include "analysis/observers.hh"
 #include "cluster/fleet.hh"
+#include "exp/axis.hh"
 #include "server/server_sim.hh"
 #include "sim/logging.hh"
 
@@ -14,28 +16,9 @@ namespace aw::exp {
 bool
 SweepResult::Query::matches(const GridPoint &pt) const
 {
-    if (workload && *workload != pt.workload)
-        return false;
-    if (config && *config != pt.config)
-        return false;
-    if (governor && *governor != pt.governor)
-        return false;
-    if (freqPolicy && *freqPolicy != pt.freqPolicy)
-        return false;
-    if (sloUs && *sloUs != pt.sloUs)
-        return false;
-    if (capWatts && *capWatts != pt.capWatts)
-        return false;
-    if (policy && *policy != pt.policy)
-        return false;
-    if (variant && *variant != pt.variant)
-        return false;
-    if (servers && *servers != pt.servers)
-        return false;
-    if (qps && *qps != pt.qps)
-        return false;
-    if (replica && *replica != pt.replica)
-        return false;
+    for (const Axis &a : axes())
+        if (!a.matches(*this, pt))
+            return false;
     return true;
 }
 
@@ -104,50 +87,51 @@ PointResult
 SweepRunner::runPoint(const ExperimentSpec &spec, const GridPoint &pt)
 {
     const auto &profile = cachedProfile(pt.workload);
-    auto cfg = cachedConfig(pt.config);
+    cluster::FleetConfig fc{.server = cachedConfig(pt.config)};
+    auto &cfg = fc.server;
     if (spec.cores > 0)
         cfg.cores = spec.cores;
-    if (!pt.governor.empty())
-        cfg.governor = pt.governor;
-    if (!pt.freqPolicy.empty())
-        cfg.freqPolicy = pt.freqPolicy;
-    if (pt.sloUs > 0.0)
-        cfg.sloUs = pt.sloUs;
-    if (pt.capWatts > 0.0)
-        cfg.cap.capWatts = pt.capWatts;
+    for (const Axis &a : axes())
+        if (a.apply && a.shown(pt))
+            a.apply(pt, fc);
     if (spec.thermal)
         cfg.cap.thermalEnabled = true;
     if (!spec.dispatch.empty())
         cfg.dispatch = server::dispatchPolicyByName(spec.dispatch);
+    // Cap metrics ride the extras channel only when the spec engaged
+    // the subsystem, so no-axis artifacts keep their pre-cap schema
+    // byte for byte.
+    const bool cap_metrics = spec.thermal || axis("cap_w").swept(spec);
 
     const sim::Tick duration =
         spec.seconds > 0.0 ? sim::fromSec(spec.seconds) : 0;
     const sim::Tick warmup =
         spec.warmupSeconds >= 0.0 ? sim::fromSec(spec.warmupSeconds)
                                   : duration / 10;
+    std::optional<analysis::TimelineConfig> timeline;
+    if (spec.timelineIntervalSeconds > 0.0) {
+        timeline.emplace();
+        timeline->intervalSeconds = spec.timelineIntervalSeconds;
+    }
+    std::optional<analysis::TraceConfig> trace;
+    if (spec.traceRequests)
+        trace.emplace();
 
     PointResult res;
     res.point = pt;
 
     if (pt.servers > 0) {
-        cluster::FleetConfig fc;
-        fc.servers = pt.servers;
-        fc.server = cfg;
         // Fleet runs model cpuidle's tick re-selection so spare
         // servers reach deep idle (matches awsim's fleet mode).
-        fc.server.idlePromotion = true;
-        fc.routing = pt.policy;
+        cfg.idlePromotion = true;
         fc.seed = pt.seed;
         fc.fleetThreads = spec.fleetThreads;
         fc.epochSeconds = spec.epochSeconds;
         cluster::FleetSim fleet(fc, profile, pt.qps);
-        if (spec.timelineIntervalSeconds > 0.0) {
-            analysis::TimelineConfig tc;
-            tc.intervalSeconds = spec.timelineIntervalSeconds;
-            fleet.enableTimeline(tc);
-        }
-        if (spec.traceRequests)
-            fleet.enableRequestTrace(analysis::TraceConfig{});
+        if (timeline)
+            fleet.enableTimeline(*timeline);
+        if (trace)
+            fleet.enableRequestTrace(*trace);
         auto r = duration > 0 ? fleet.run(duration, warmup)
                               : fleet.run();
         res.timeline = std::move(r.timeline);
@@ -170,10 +154,7 @@ SweepRunner::runPoint(const ExperimentSpec &spec, const GridPoint &pt)
         res.maxServerDeepShare = r.maxServerDeepShare;
         res.busiestShareOfLoad = r.busiestShareOfLoad;
         res.residency = r.residency.share;
-        // Cap metrics ride the extras channel only when the spec
-        // engaged the subsystem, so no-axis artifacts keep their
-        // pre-cap schema byte for byte.
-        if (!spec.capWatts.empty() || spec.thermal) {
+        if (cap_metrics) {
             res.extras.emplace_back("cap_throttle_share",
                                     r.capThrottleShare);
             res.extras.emplace_back("max_temp_c", r.maxTempC);
@@ -181,31 +162,15 @@ SweepRunner::runPoint(const ExperimentSpec &spec, const GridPoint &pt)
     } else {
         cfg.seed = pt.seed;
         server::ServerSim srv(cfg, profile, pt.qps);
-        std::optional<analysis::TimelineRecorder> recorder;
-        std::optional<analysis::RequestTracer> tracer;
-        server::TelemetryFanout fanout;
-        if (spec.timelineIntervalSeconds > 0.0) {
-            analysis::TimelineConfig tc;
-            tc.intervalSeconds = spec.timelineIntervalSeconds;
-            recorder.emplace(tc, cfg.cores);
-        }
-        if (spec.traceRequests)
-            tracer.emplace(analysis::TraceConfig{}, cfg.cores);
-        if (recorder && tracer) {
-            fanout.add(&*recorder);
-            fanout.add(&*tracer);
-            srv.setObserver(&fanout);
-        } else if (recorder) {
-            srv.setObserver(&*recorder);
-        } else if (tracer) {
-            srv.setObserver(&*tracer);
-        }
+        analysis::ServerTelemetry telemetry(timeline, trace, cfg.cores);
+        telemetry.attach(srv);
         const auto r = duration > 0 ? srv.run(duration, warmup)
                                     : srv.run();
-        if (recorder)
-            res.timeline = recorder->series();
-        if (tracer) {
-            res.trace = analysis::attributeTail(tracer->series());
+        if (telemetry.recorder)
+            res.timeline = telemetry.recorder->series();
+        if (telemetry.tracer) {
+            res.trace =
+                analysis::attributeTail(telemetry.tracer->series());
             res.p999LatencyUs = r.p999LatencyUs;
         }
         res.events = r.events;
@@ -225,7 +190,7 @@ SweepRunner::runPoint(const ExperimentSpec &spec, const GridPoint &pt)
         res.maxServerDeepShare = deep;
         res.busiestShareOfLoad = 1.0;
         res.residency = r.residency.share;
-        if (!spec.capWatts.empty() || spec.thermal) {
+        if (cap_metrics) {
             res.extras.emplace_back("cap_throttle_share",
                                     r.capThrottleShare);
             res.extras.emplace_back("max_temp_c", r.maxTempC);

@@ -2,9 +2,7 @@
 
 #include <cmath>
 
-#include "cluster/routing.hh"
-#include "cstate/governors.hh"
-#include "freq/policies.hh"
+#include "exp/axis.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 
@@ -120,45 +118,20 @@ configNames()
 std::string
 GridPoint::label() const
 {
-    std::string l = workload + "/" + config;
-    if (!governor.empty())
-        l += "/" + governor;
-    if (!freqPolicy.empty())
-        l += "/" + freqPolicy;
-    if (sloUs > 0.0)
-        l += sim::strprintf("/slo%gus", sloUs);
-    if (capWatts > 0.0)
-        l += sim::strprintf("/cap%gW", capWatts);
-    if (!policy.empty())
-        l += "/" + policy;
-    if (servers > 0)
-        l += sim::strprintf("/K%u", servers);
-    l += sim::strprintf("/%.0fqps", qps);
-    if (!variant.empty())
-        l += "/" + variant;
-    l += sim::strprintf("/r%u", replica);
+    std::string l;
+    for (const Axis &a : axes()) {
+        if (!a.shown(*this))
+            continue;
+        if (!l.empty())
+            l += '/';
+        l += a.format(a.label, *this);
+    }
     return l;
 }
 
 void
 ExperimentSpec::validate() const
 {
-    if (workloads.empty())
-        sim::fatal("ExperimentSpec '%s': empty workload axis",
-                   name.c_str());
-    if (configs.empty())
-        sim::fatal("ExperimentSpec '%s': empty config axis",
-                   name.c_str());
-    if (qps.empty())
-        sim::fatal("ExperimentSpec '%s': empty qps axis",
-                   name.c_str());
-    if (replicas == 0)
-        sim::fatal("ExperimentSpec '%s': need at least one replica",
-                   name.c_str());
-    if (fleetSizes.empty() && !policies.empty())
-        sim::fatal("ExperimentSpec '%s': routing policies require a "
-                   "fleet-size axis",
-                   name.c_str());
     if (qpsPerServer && fleetSizes.empty())
         sim::fatal("ExperimentSpec '%s': qpsPerServer requires a "
                    "fleet-size axis",
@@ -178,84 +151,27 @@ ExperimentSpec::validate() const
                    "finite non-negative number (0 = one epoch "
                    "spanning the run; got %f)",
                    name.c_str(), epochSeconds);
+    if (!dispatch.empty())
+        server::dispatchPolicyByName(dispatch);
 
     // Resolve every axis value now so a bad name dies here, on the
     // caller's thread, not inside a worker mid-sweep.
-    for (const auto &w : workloads)
-        profileByName(w);
-    for (const auto &c : configs)
-        configByName(c);
-    for (const auto &g : governors) {
-        // Resolve every (config, governor) pairing the grid will
-        // actually run, so a static:<state> spec naming a state
-        // some config disables dies here -- before the sweep
-        // launches -- instead of killing a worker mid-run with all
-        // completed points lost.
-        for (const auto &c : configs) {
-            const auto policy =
-                cstate::makeGovernor(g, configByName(c).cstates);
-            if (policy->needsOracle() && !fleetSizes.empty())
-                sim::fatal("ExperimentSpec '%s': governor '%s' is "
-                           "single-server only (fleet dispatch has "
-                           "no per-core arrival foreknowledge)",
-                           name.c_str(), g.c_str());
-            if (policy->needsOracle() && dispatch == "packing")
-                sim::fatal("ExperimentSpec '%s': governor '%s' "
-                           "needs static dispatch",
-                           name.c_str(), g.c_str());
-        }
+    for (const Axis &a : axes()) {
+        if (a.required && !a.swept(*this))
+            sim::fatal("ExperimentSpec '%s': empty %s axis",
+                       name.c_str(), a.key);
+        if (a.check)
+            a.check(a, *this);
     }
-    for (const auto &f : freqPolicies) {
-        // Resolve every (config, freq policy) pairing against the
-        // config's own P-state table, mirroring the governor check:
-        // a bad spec dies here, not inside a sweep worker.
-        for (const auto &c : configs)
-            freq::makeFreqPolicy(
-                f, freq::PStateLadder(configByName(c).pstates));
-    }
-    for (const double s : sloUs)
-        if (s < 0.0 || !std::isfinite(s))
-            sim::fatal("ExperimentSpec '%s': sloUs values must be "
-                       "finite and non-negative (0 = unconstrained; "
-                       "got %f)",
-                       name.c_str(), s);
-    for (const double w : capWatts)
-        if (w < 0.0 || !std::isfinite(w))
-            sim::fatal("ExperimentSpec '%s': capWatts values must "
-                       "be finite and non-negative (0 = uncapped; "
-                       "got %f)",
-                       name.c_str(), w);
-    if (!dispatch.empty())
-        server::dispatchPolicyByName(dispatch);
-    for (const auto &p : policies)
-        cluster::makeRoutingPolicy(p, 1);
-    for (const unsigned k : fleetSizes)
-        if (k == 0)
-            sim::fatal("ExperimentSpec '%s': fleet size 0",
-                       name.c_str());
-    for (const double q : qps)
-        if (!(q > 0.0) || !std::isfinite(q))
-            sim::fatal("ExperimentSpec '%s': qps values must be "
-                       "positive (got %f)",
-                       name.c_str(), q);
 }
 
 std::size_t
 ExperimentSpec::gridSize() const
 {
-    const std::size_t fleets =
-        fleetSizes.empty() ? 1 : fleetSizes.size();
-    const std::size_t pols =
-        fleetSizes.empty() ? 1
-                           : (policies.empty() ? 1 : policies.size());
-    const std::size_t vars = variants.empty() ? 1 : variants.size();
-    const std::size_t govs = governors.empty() ? 1 : governors.size();
-    const std::size_t freqs =
-        freqPolicies.empty() ? 1 : freqPolicies.size();
-    const std::size_t slos = sloUs.empty() ? 1 : sloUs.size();
-    const std::size_t caps = capWatts.empty() ? 1 : capWatts.size();
-    return workloads.size() * configs.size() * govs * freqs * slos *
-           caps * pols * fleets * qps.size() * vars * replicas;
+    std::size_t n = 1;
+    for (const Axis &a : axes())
+        n *= a.count(*this);
+    return n;
 }
 
 std::vector<GridPoint>
@@ -263,57 +179,28 @@ ExperimentSpec::expand() const
 {
     validate();
 
-    // Dummy single-element axes keep the loop nest uniform.
-    const std::vector<std::string> pols =
-        fleetSizes.empty()
-            ? std::vector<std::string>{""}
-            : (policies.empty()
-                   ? std::vector<std::string>{"round-robin"}
-                   : policies);
-    const std::vector<unsigned> fleets =
-        fleetSizes.empty() ? std::vector<unsigned>{0} : fleetSizes;
-    const std::vector<std::string> vars =
-        variants.empty() ? std::vector<std::string>{""} : variants;
-    const std::vector<std::string> govs =
-        governors.empty() ? std::vector<std::string>{""} : governors;
-    const std::vector<std::string> freqs =
-        freqPolicies.empty() ? std::vector<std::string>{""}
-                             : freqPolicies;
-    const std::vector<double> slos =
-        sloUs.empty() ? std::vector<double>{0.0} : sloUs;
-    const std::vector<double> caps =
-        capWatts.empty() ? std::vector<double>{0.0} : capWatts;
-
+    // An odometer over the axes in expansion order: the last axis
+    // turns fastest.
+    const auto table = axes();
+    std::vector<std::size_t> counts, digit(table.size(), 0);
+    for (const Axis &a : table)
+        counts.push_back(a.count(*this));
+    const std::size_t n = gridSize();
     std::vector<GridPoint> grid;
-    grid.reserve(gridSize());
-    for (const auto &w : workloads)
-      for (const auto &c : configs)
-        for (const auto &g : govs)
-          for (const auto &f : freqs)
-            for (const double s : slos)
-             for (const double cw : caps)
-              for (const auto &p : pols)
-                for (const unsigned k : fleets)
-                    for (const double q : qps)
-                        for (const auto &v : vars)
-                            for (unsigned r = 0; r < replicas; ++r) {
-                                GridPoint pt;
-                                pt.index = grid.size();
-                                pt.workload = w;
-                                pt.config = c;
-                                pt.governor = g;
-                                pt.freqPolicy = f;
-                                pt.sloUs = s;
-                                pt.capWatts = cw;
-                                pt.policy = p;
-                                pt.servers = k;
-                                pt.qps = qpsPerServer ? q * k : q;
-                                pt.variant = v;
-                                pt.replica = r;
-                                pt.seed =
-                                    sim::deriveSeed(seed, pt.index);
-                                grid.push_back(std::move(pt));
-                            }
+    grid.reserve(n);
+    for (std::size_t index = 0; index < n; ++index) {
+        GridPoint pt;
+        pt.index = index;
+        for (std::size_t a = 0; a < table.size(); ++a)
+            table[a].assign(*this, digit[a], pt);
+        pt.seed = sim::deriveSeed(seed, index);
+        grid.push_back(std::move(pt));
+        for (std::size_t a = table.size(); a-- > 0;) {
+            if (++digit[a] < counts[a])
+                break;
+            digit[a] = 0;
+        }
+    }
     return grid;
 }
 

@@ -168,9 +168,9 @@ struct ExperimentSpec
     std::size_t gridSize() const;
 
     /** The ordered cartesian grid. Expansion order (outer to
-     *  inner): workload, config, governor, freq policy, SLO,
-     *  power cap, policy, fleet size, qps, variant, replica.
-     *  Calls validate(). */
+     *  inner) is the axis registry's (exp/axis.hh): workload,
+     *  config, governor, freq policy, SLO, power cap, policy, fleet
+     *  size, qps, variant, replica. Calls validate(). */
     std::vector<GridPoint> expand() const;
 };
 

@@ -1,6 +1,5 @@
 #include "sim/random.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "sim/logging.hh"
@@ -63,30 +62,6 @@ Rng::boundedPareto(double lo, double hi, double alpha)
     // Inverse CDF of the bounded Pareto distribution.
     const double x = -(u * ha - u * la - ha) / (ha * la);
     return std::pow(x, -1.0 / alpha);
-}
-
-ZipfDistribution::ZipfDistribution(std::size_t n, double s) : _skew(s)
-{
-    if (n == 0)
-        panic("ZipfDistribution: empty support");
-    _cdf.resize(n);
-    double sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        sum += 1.0 / std::pow(static_cast<double>(i + 1), s);
-        _cdf[i] = sum;
-    }
-    for (std::size_t i = 0; i < n; ++i)
-        _cdf[i] /= sum;
-}
-
-std::size_t
-ZipfDistribution::operator()(Rng &rng) const
-{
-    const double u = rng.uniform();
-    const auto it = std::lower_bound(_cdf.begin(), _cdf.end(), u);
-    if (it == _cdf.end())
-        return _cdf.size() - 1;
-    return static_cast<std::size_t>(it - _cdf.begin());
 }
 
 } // namespace aw::sim

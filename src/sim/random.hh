@@ -1,7 +1,7 @@
 /**
  * @file
  * Deterministic random number generation and the distributions the
- * workload models need (exponential, lognormal, bounded Pareto, Zipf).
+ * workload models need (exponential, lognormal, bounded Pareto).
  *
  * Every stochastic component takes an explicit seed so whole-server
  * simulations are reproducible run to run.
@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <random>
-#include <vector>
 
 namespace aw::sim {
 
@@ -140,33 +139,6 @@ struct LognormalParams
     {
         return degenerate ? mean : rng.lognormal(mu, sigma);
     }
-};
-
-/**
- * Zipf-distributed integer draws over {0, ..., n-1} with skew s.
- *
- * Uses a precomputed CDF with binary search; construction is O(n),
- * draws are O(log n). Used for key-popularity in the key-value
- * workload profile.
- */
-class ZipfDistribution
-{
-  public:
-    /**
-     * @param n    support size (must be >= 1)
-     * @param s    skew exponent (s = 0 gives uniform)
-     */
-    ZipfDistribution(std::size_t n, double s);
-
-    /** Draw one value in [0, n). */
-    std::size_t operator()(Rng &rng) const;
-
-    std::size_t support() const { return _cdf.size(); }
-    double skew() const { return _skew; }
-
-  private:
-    std::vector<double> _cdf;
-    double _skew;
 };
 
 } // namespace aw::sim

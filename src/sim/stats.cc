@@ -52,53 +52,6 @@ PercentileTracker::mean() const
     return sum / static_cast<double>(_samples.size());
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t nbins)
-    : _lo(lo), _hi(hi), _counts(nbins, 0)
-{
-    if (nbins == 0)
-        panic("Histogram: need at least one bin");
-    if (hi <= lo)
-        panic("Histogram: hi (%f) must exceed lo (%f)", hi, lo);
-    _width = (hi - lo) / static_cast<double>(nbins);
-}
-
-void
-Histogram::add(double x, std::uint64_t weight)
-{
-    _total += weight;
-    if (x < _lo) {
-        _underflow += weight;
-        return;
-    }
-    if (x >= _hi) {
-        _overflow += weight;
-        return;
-    }
-    auto idx = static_cast<std::size_t>((x - _lo) / _width);
-    if (idx >= _counts.size())
-        idx = _counts.size() - 1; // guard FP rounding at the upper edge
-    _counts[idx] += weight;
-}
-
-double
-Histogram::binLo(std::size_t i) const
-{
-    return _lo + _width * static_cast<double>(i);
-}
-
-double
-Histogram::binHi(std::size_t i) const
-{
-    return _lo + _width * static_cast<double>(i + 1);
-}
-
-void
-Histogram::reset()
-{
-    std::fill(_counts.begin(), _counts.end(), 0);
-    _underflow = _overflow = _total = 0;
-}
-
 void
 WeightedShares::reset()
 {

@@ -1,7 +1,7 @@
 /**
  * @file
- * Statistics collection: accumulators, histograms and percentile
- * trackers used by the latency/power reporting machinery.
+ * Statistics collection: accumulators, percentile trackers and
+ * weighted shares used by the latency/power reporting machinery.
  */
 
 #ifndef AW_SIM_STATS_HH
@@ -138,44 +138,6 @@ class PercentileTracker
   private:
     mutable std::vector<double> _samples;
     mutable bool _sorted = false;
-};
-
-/**
- * Fixed-width binned histogram with underflow/overflow buckets.
- */
-class Histogram
-{
-  public:
-    /**
-     * @param lo     lower edge of the first bin
-     * @param hi     upper edge of the last bin (must be > lo)
-     * @param nbins  number of bins (must be >= 1)
-     */
-    Histogram(double lo, double hi, std::size_t nbins);
-
-    void add(double x, std::uint64_t weight = 1);
-
-    std::size_t bins() const { return _counts.size(); }
-    std::uint64_t binCount(std::size_t i) const { return _counts.at(i); }
-    std::uint64_t underflow() const { return _underflow; }
-    std::uint64_t overflow() const { return _overflow; }
-    std::uint64_t total() const { return _total; }
-
-    /** Lower edge of bin @p i. */
-    double binLo(std::size_t i) const;
-    /** Upper edge of bin @p i. */
-    double binHi(std::size_t i) const;
-
-    void reset();
-
-  private:
-    double _lo;
-    double _hi;
-    double _width;
-    std::vector<std::uint64_t> _counts;
-    std::uint64_t _underflow = 0;
-    std::uint64_t _overflow = 0;
-    std::uint64_t _total = 0;
 };
 
 /**

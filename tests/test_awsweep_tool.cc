@@ -113,6 +113,7 @@ TEST_P(AwsweepToolRejects, DegenerateValueUpFront)
     const auto [code, out] = runCommand(
         std::string(AWSWEEP_BIN) + " " + GetParam().args);
     EXPECT_EQ(code, 1) << out;
+    EXPECT_NE(out.find("fatal:"), std::string::npos) << out;
     EXPECT_NE(out.find(GetParam().needle), std::string::npos)
         << out;
 }
@@ -137,6 +138,18 @@ INSTANTIATE_TEST_SUITE_P(
         BadFlag{"--epoch 0", "positive"},
         BadFlag{"--epoch -0.1", "positive"},
         BadFlag{"--timeline-interval 0.01", "--timeline"},
-        BadFlag{"--frobnicate", "unknown argument"}));
+        BadFlag{"--frobnicate", "unknown argument"},
+        // Every grid-axis flag rejects a bad value.
+        BadFlag{"--caps -1", "--caps"},
+        BadFlag{"--slo x", "bad value"},
+        BadFlag{"--slo -8", "--slo"},
+        BadFlag{"--replicas x", "bad value"},
+        BadFlag{"--fleet 2 --policies nope", "unknown routing policy"},
+        BadFlag{"--policies round-robin", "fleet-size"},
+        BadFlag{"--configs nope", "unknown config"},
+        BadFlag{"--workloads nope", "unknown workload"},
+        BadFlag{"--governors nope", "unknown governor"},
+        BadFlag{"--freq-governors nope",
+                "unknown frequency governor"}));
 
 } // namespace

@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "exp/axis.hh"
 #include "exp/emit.hh"
 #include "exp/runner.hh"
 #include "exp/spec.hh"
@@ -202,6 +204,95 @@ TEST(ExperimentSpec, RegistriesResolveEveryAdvertisedName)
         const auto cfg = exp::configByName(c);
         EXPECT_GT(cfg.cores, 0u) << c;
     }
+}
+
+// --------------------------------------------------- axis registry
+
+/** A result holding @p spec's grid without running it. */
+exp::SweepResult
+unrunSweep(const ExperimentSpec &spec)
+{
+    exp::SweepResult r;
+    r.spec = spec;
+    for (const auto &pt : spec.expand()) {
+        PointResult p;
+        p.point = pt;
+        r.points.push_back(p);
+    }
+    return r;
+}
+
+TEST(AxisRegistry, EveryAxisDoublesTheGridAndShowsInEveryView)
+{
+    // Two valid values per axis, in its flag syntax (replica is a
+    // count). A registry entry without a row here fails below.
+    const std::map<std::string, std::string> two = {
+        {"workload", "memcached,mysql"},
+        {"config", "baseline,aw"},
+        {"governor", "menu,teo"},
+        {"freq_policy", "performance,powersave"},
+        {"slo_us", "4,8"},
+        {"cap_w", "30,40"},
+        {"policy", "round-robin,pack-first"},
+        {"servers", "2,4"},
+        {"qps", "1000,2000"},
+        {"variant", "a,b"},
+        {"replica", "2"},
+    };
+    ExperimentSpec base;
+    base.fleetSizes = {1}; // so the policy axis is valid
+    ASSERT_EQ(base.gridSize(), 1u);
+    const std::string base_csv = exp::csvHeader(unrunSweep(base));
+    const std::string base_json = exp::toJson(unrunSweep(base));
+
+    for (const exp::Axis &axis : exp::axes()) {
+        SCOPED_TRACE(axis.key);
+        ASSERT_TRUE(two.contains(axis.key));
+        ExperimentSpec spec = base;
+        axis.parse(axis, spec, two.at(axis.key).c_str());
+        EXPECT_TRUE(axis.swept(spec));
+        EXPECT_EQ(spec.gridSize(), 2 * base.gridSize());
+
+        const auto sweep = unrunSweep(spec);
+        ASSERT_EQ(sweep.points.size(), 2u);
+        for (const auto &p : sweep.points)
+            EXPECT_NE(p.point.label().find(
+                          axis.format(axis.label, p.point)),
+                      std::string::npos)
+                << p.point.label();
+        EXPECT_NE(sweep.points[0].point.label(),
+                  sweep.points[1].point.label());
+
+        // The column is always there, or only once swept.
+        const std::string col = "," + std::string(axis.key) + ",";
+        const std::string member = "\"" + std::string(axis.key) + "\": ";
+        EXPECT_NE(exp::csvHeader(sweep).find(col), std::string::npos);
+        EXPECT_NE(exp::toJson(sweep).find(member), std::string::npos);
+        EXPECT_EQ(base_csv.find(col) == std::string::npos,
+                  axis.optionalColumn);
+        EXPECT_EQ(base_json.find(member) == std::string::npos,
+                  axis.optionalColumn);
+
+        exp::SweepResult::Query q;
+        axis.pin(q, sweep.points[1].point);
+        const auto hits = sweep.select(q);
+        ASSERT_EQ(hits.size(), 1u);
+        EXPECT_EQ(hits.front()->point.index, 1u);
+    }
+}
+
+TEST(AxisRegistry, ColumnsAreAPermutationOfTheTable)
+{
+    std::set<unsigned> columns;
+    std::set<std::string> keys;
+    for (const exp::Axis &axis : exp::axes()) {
+        columns.insert(axis.column);
+        keys.insert(axis.key);
+        EXPECT_EQ(&exp::axis(axis.key), &axis);
+    }
+    EXPECT_EQ(columns.size(), exp::axes().size());
+    EXPECT_EQ(*columns.rbegin(), exp::axes().size() - 1);
+    EXPECT_EQ(keys.size(), exp::axes().size());
 }
 
 // ------------------------------------------------- seed derivation

@@ -142,41 +142,4 @@ TEST(RngDeathTest, BoundedParetoRejectsBadBounds)
     EXPECT_DEATH(rng.boundedPareto(10.0, 5.0, 1.0), "lo");
 }
 
-TEST(Zipf, UniformWhenSkewZero)
-{
-    Rng rng(3);
-    ZipfDistribution zipf(10, 0.0);
-    std::vector<int> counts(10, 0);
-    const int n = 100000;
-    for (int i = 0; i < n; ++i)
-        ++counts[zipf(rng)];
-    for (const int c : counts)
-        EXPECT_NEAR(c, n / 10, n / 10 * 0.15);
-}
-
-TEST(Zipf, SkewFavorsLowRanks)
-{
-    Rng rng(3);
-    ZipfDistribution zipf(1000, 1.0);
-    std::vector<int> counts(1000, 0);
-    for (int i = 0; i < 100000; ++i)
-        ++counts[zipf(rng)];
-    EXPECT_GT(counts[0], counts[10]);
-    EXPECT_GT(counts[10], counts[500]);
-}
-
-TEST(Zipf, SupportRespected)
-{
-    Rng rng(3);
-    ZipfDistribution zipf(4, 1.2);
-    for (int i = 0; i < 1000; ++i)
-        EXPECT_LT(zipf(rng), 4u);
-    EXPECT_EQ(zipf.support(), 4u);
-}
-
-TEST(ZipfDeathTest, EmptySupportPanics)
-{
-    EXPECT_DEATH(ZipfDistribution(0, 1.0), "support");
-}
-
 } // namespace

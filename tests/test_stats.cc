@@ -223,53 +223,6 @@ TEST(PercentileProperty, MergedTrackersEqualPooledSamples)
     }
 }
 
-TEST(Histogram, BinsCorrectly)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);
-    h.add(5.5);
-    h.add(9.99);
-    EXPECT_EQ(h.binCount(0), 1u);
-    EXPECT_EQ(h.binCount(5), 1u);
-    EXPECT_EQ(h.binCount(9), 1u);
-    EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, UnderOverflow)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(-1.0);
-    h.add(10.0); // upper edge is exclusive
-    h.add(100.0);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, WeightsAndEdges)
-{
-    Histogram h(0.0, 4.0, 4);
-    h.add(1.5, 7);
-    EXPECT_EQ(h.binCount(1), 7u);
-    EXPECT_DOUBLE_EQ(h.binLo(1), 1.0);
-    EXPECT_DOUBLE_EQ(h.binHi(1), 2.0);
-}
-
-TEST(Histogram, ResetClears)
-{
-    Histogram h(0.0, 1.0, 2);
-    h.add(0.5);
-    h.reset();
-    EXPECT_EQ(h.total(), 0u);
-    EXPECT_EQ(h.binCount(1), 0u);
-}
-
-TEST(HistogramDeathTest, BadConstruction)
-{
-    EXPECT_DEATH(Histogram(0.0, 1.0, 0), "bin");
-    EXPECT_DEATH(Histogram(1.0, 1.0, 4), "exceed");
-}
-
 TEST(WeightedShares, SharesSumToOne)
 {
     WeightedShares ws(3);

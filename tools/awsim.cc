@@ -26,6 +26,7 @@
 #include <optional>
 #include <string>
 
+#include "analysis/observers.hh"
 #include "analysis/power_model.hh"
 #include "analysis/sampler.hh"
 #include "analysis/table.hh"
@@ -639,22 +640,13 @@ main(int argc, char **argv)
                                                         qps);
     }
     server::ServerSim &srv = *srv_owner;
-    std::optional<analysis::TimelineRecorder> recorder;
-    std::optional<analysis::RequestTracer> tracer;
-    server::TelemetryFanout fanout;
-    if (timeline.enabled())
-        recorder.emplace(timeline.config(), cfg.cores);
-    if (reqtrace.enabled())
-        tracer.emplace(analysis::TraceConfig{}, cfg.cores);
-    if (recorder && tracer) {
-        fanout.add(&*recorder);
-        fanout.add(&*tracer);
-        srv.setObserver(&fanout);
-    } else if (recorder) {
-        srv.setObserver(&*recorder);
-    } else if (tracer) {
-        srv.setObserver(&*tracer);
-    }
+    analysis::ServerTelemetry telemetry(
+        timeline.enabled() ? std::optional(timeline.config())
+                           : std::nullopt,
+        reqtrace.enabled() ? std::optional(analysis::TraceConfig{})
+                           : std::nullopt,
+        cfg.cores);
+    telemetry.attach(srv);
     const auto r =
         seconds > 0.0
             ? srv.run(sim::fromSec(seconds),
@@ -749,10 +741,11 @@ main(int argc, char **argv)
     const std::string run_label = sim::strprintf(
         "%s/%s/%.0fqps", r.workloadName.c_str(),
         r.configName.c_str(), r.offeredQps);
-    if (recorder)
-        writeTimeline(recorder->series(), run_label, timeline);
-    if (tracer)
-        writeRequestTrace(tracer->series(), run_label, reqtrace);
+    if (telemetry.recorder)
+        writeTimeline(telemetry.recorder->series(), run_label, timeline);
+    if (telemetry.tracer)
+        writeRequestTrace(telemetry.tracer->series(), run_label,
+                          reqtrace);
 
     if (estimate_aw) {
         core::AwCoreModel aw_model;

@@ -21,16 +21,13 @@
  */
 
 #include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "analysis/table.hh"
-#include "cluster/routing.hh"
+#include "exp/axis.hh"
 #include "exp/emit.hh"
 #include "exp/runner.hh"
 #include "exp/spec.hh"
@@ -39,32 +36,24 @@
 namespace {
 
 using namespace aw;
+using exp::parseDouble;
+using exp::parseUnsigned;
 
 void
 usage()
 {
+    std::printf("awsweep -- parallel experiment sweeps over the "
+                "AgileWatts simulator\n\n"
+                "grid axes (comma-separated lists):\n");
+    for (const auto &axis : exp::axes()) {
+        if (!axis.flag)
+            continue;
+        const std::string flag =
+            std::string(axis.flag) + " " + axis.metavar;
+        std::printf("  %-17s%s%s\n", flag.c_str(),
+                    flag.size() > 17 ? "  " : " ", axis.help);
+    }
     std::printf(
-        "awsweep -- parallel experiment sweeps over the AgileWatts "
-        "simulator\n\n"
-        "grid axes (comma-separated lists):\n"
-        "  --workloads A,B   workload profiles (default memcached)\n"
-        "  --configs A,B     server configs (default baseline)\n"
-        "  --governors A,B   idle governors (menu|teo|ladder|\n"
-        "                    static:<state>|oracle; default: config\n"
-        "                    default; oracle is single-server only)\n"
-        "  --freq-governors A,B  DVFS governors (performance|"
-        "powersave|\n"
-        "                    ondemand|conservative|racetohalt;\n"
-        "                    default: the static operating point)\n"
-        "  --slo N,M         per-request latency-SLO levels in us\n"
-        "                    (PM-QoS; 0 = unconstrained)\n"
-        "  --caps N,M        package power-cap levels in watts\n"
-        "                    (0 = uncapped; docs/POWERCAP.md)\n"
-        "  --policies A,B    routing policies (fleet mode only;\n"
-        "                    default round-robin)\n"
-        "  --fleet N,M       fleet sizes; omit for single-server\n"
-        "  --qps N,M         offered load levels (default 100000)\n"
-        "  --replicas N      seed replicas per point (default 1)\n"
         "\nrun shaping:\n"
         "  --per-server-qps  scale each qps level by the fleet size\n"
         "  --seconds S       measured window (default: auto-sized)\n"
@@ -113,46 +102,14 @@ usage()
         "                    (full all/p99/p99.9 cohort objects)\n");
 }
 
-std::vector<std::string>
-splitList(const std::string &arg)
+/** The grid axis whose flag is @p arg, or nullptr. */
+const exp::Axis *
+axisFlag(const std::string &arg)
 {
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= arg.size()) {
-        const std::size_t comma = arg.find(',', start);
-        const std::string item =
-            arg.substr(start, comma == std::string::npos
-                                  ? std::string::npos
-                                  : comma - start);
-        if (!item.empty())
-            out.push_back(item);
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return out;
-}
-
-unsigned
-parseUnsigned(const char *flag, const char *value)
-{
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long v = std::strtoul(value, &end, 10);
-    if (end == value || *end != '\0' || value[0] == '-' ||
-        errno == ERANGE || v > std::numeric_limits<unsigned>::max())
-        sim::fatal("%s: bad value '%s'", flag, value);
-    return static_cast<unsigned>(v);
-}
-
-double
-parseDouble(const char *flag, const char *value)
-{
-    char *end = nullptr;
-    const double v = std::strtod(value, &end);
-    if (end == value || *end != '\0' || !std::isfinite(v))
-        sim::fatal("%s: bad value '%s'", flag, value);
-    return v;
+    for (const auto &axis : exp::axes())
+        if (axis.flag && arg == axis.flag)
+            return &axis;
+    return nullptr;
 }
 
 std::uint64_t
@@ -193,67 +150,10 @@ main(int argc, char **argv)
         if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
-        } else if (arg == "--workloads") {
-            spec.workloads = splitList(next("--workloads"));
-        } else if (arg == "--configs") {
-            spec.configs = splitList(next("--configs"));
-        } else if (arg == "--governors") {
-            spec.governors = splitList(next("--governors"));
-        } else if (arg == "--freq-governors") {
-            spec.freqPolicies =
-                splitList(next("--freq-governors"));
-        } else if (arg == "--slo") {
-            spec.sloUs.clear();
-            for (const auto &v : splitList(next("--slo"))) {
-                const double s = parseDouble("--slo", v.c_str());
-                if (s < 0.0)
-                    sim::fatal("--slo: latency SLO must be >= 0 us "
-                               "(0 = unconstrained; got %g)",
-                               s);
-                spec.sloUs.push_back(s);
-            }
-        } else if (arg == "--caps") {
-            spec.capWatts.clear();
-            for (const auto &v : splitList(next("--caps"))) {
-                const double w = parseDouble("--caps", v.c_str());
-                if (w < 0.0)
-                    sim::fatal("--caps: package budget must be "
-                               ">= 0 watts (0 = uncapped; got %g)",
-                               w);
-                spec.capWatts.push_back(w);
-            }
         } else if (arg == "--thermal") {
             spec.thermal = true;
         } else if (arg == "--dispatch") {
             spec.dispatch = next("--dispatch");
-        } else if (arg == "--policies") {
-            spec.policies = splitList(next("--policies"));
-        } else if (arg == "--fleet") {
-            spec.fleetSizes.clear();
-            for (const auto &v : splitList(next("--fleet"))) {
-                const unsigned k =
-                    parseUnsigned("--fleet", v.c_str());
-                if (k == 0)
-                    sim::fatal("--fleet: need at least 1 server "
-                               "(omit the flag for single-server "
-                               "sweeps)");
-                spec.fleetSizes.push_back(k);
-            }
-        } else if (arg == "--qps") {
-            spec.qps.clear();
-            for (const auto &v : splitList(next("--qps"))) {
-                const double q = parseDouble("--qps", v.c_str());
-                if (q <= 0.0)
-                    sim::fatal("--qps: offered load must be "
-                               "positive (got %g)",
-                               q);
-                spec.qps.push_back(q);
-            }
-        } else if (arg == "--replicas") {
-            spec.replicas =
-                parseUnsigned("--replicas", next("--replicas"));
-            if (spec.replicas == 0)
-                sim::fatal("--replicas: need at least 1 replica");
         } else if (arg == "--per-server-qps") {
             spec.qpsPerServer = true;
         } else if (arg == "--seconds") {
@@ -317,6 +217,8 @@ main(int argc, char **argv)
             spec.name = next("--name");
         } else if (arg == "--quiet") {
             quiet = true;
+        } else if (const exp::Axis *axis = axisFlag(arg)) {
+            axis->parse(*axis, spec, next(axis->flag));
         } else {
             usage();
             sim::fatal("unknown argument '%s'", arg.c_str());
@@ -349,46 +251,26 @@ main(int argc, char **argv)
                     runner.threads(),
                     static_cast<unsigned long long>(spec.seed),
                     result.wallSeconds);
-        // DVFS columns appear only when the spec swept those axes,
+        // Optional axes get a column only when the spec swept them,
         // mirroring the artifact emitters.
-        const bool freq_axis = !spec.freqPolicies.empty();
-        const bool slo_axis = !spec.sloUs.empty();
-        const bool cap_axis = !spec.capWatts.empty();
-        std::vector<std::string> headers = {"workload", "config",
-                                            "governor"};
-        if (freq_axis)
-            headers.push_back("freq");
-        if (slo_axis)
-            headers.push_back("slo us");
-        if (cap_axis)
-            headers.push_back("cap W");
-        for (const char *h :
-             {"policy", "K", "qps", "rep", "power W", "mJ/req",
-              "avg us", "p99 us", "deep idle"})
+        std::vector<const exp::Axis *> columns;
+        std::vector<std::string> headers;
+        for (const auto &axis : exp::axes())
+            if (axis.heading && (!axis.optionalColumn || axis.swept(spec))) {
+                columns.push_back(&axis);
+                headers.push_back(axis.heading);
+            }
+        for (const char *h : {"power W", "mJ/req", "avg us", "p99 us",
+                              "deep idle"})
             headers.push_back(h);
         analysis::TableWriter t(headers);
         for (const auto &p : result.points) {
-            const auto &pt = p.point;
-            std::vector<std::string> row = {
-                pt.workload, pt.config,
-                pt.governor.empty() ? "-" : pt.governor};
-            if (freq_axis)
-                row.push_back(pt.freqPolicy.empty() ? "-"
-                                                    : pt.freqPolicy);
-            if (slo_axis)
-                row.push_back(pt.sloUs > 0.0
-                                  ? analysis::cell("%g", pt.sloUs)
-                                  : std::string("-"));
-            if (cap_axis)
-                row.push_back(pt.capWatts > 0.0
-                                  ? analysis::cell("%g", pt.capWatts)
-                                  : std::string("-"));
+            std::vector<std::string> row;
+            for (const exp::Axis *axis : columns)
+                row.push_back(axis->shown(p.point)
+                                  ? axis->format(axis->cell, p.point)
+                                  : "-");
             for (std::string &cell : std::vector<std::string>{
-                     pt.policy.empty() ? "-" : pt.policy,
-                     pt.servers ? analysis::cell("%u", pt.servers)
-                                : std::string("-"),
-                     analysis::cell("%.0f", pt.qps),
-                     analysis::cell("%u", pt.replica),
                      analysis::cell("%.1f", p.powerW),
                      analysis::cell("%.3f", p.energyPerRequestMj),
                      analysis::cell("%.1f", p.avgLatencyUs),
