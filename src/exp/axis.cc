@@ -338,4 +338,16 @@ parseDouble(const char *flag, const char *value)
     return v;
 }
 
+std::uint64_t
+parseUint64(const char *flag, const char *value)
+{
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(value, &end, 10);
+    if (end == value || *end != '\0' || value[0] == '-' ||
+        errno == ERANGE)
+        sim::fatal("%s: bad value '%s'", flag, value);
+    return v;
+}
+
 } // namespace aw::exp

@@ -14,6 +14,7 @@
 #define AW_EXP_AXIS_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
@@ -88,6 +89,11 @@ struct Axis
     {
         return size(spec) > 0;
     }
+    /** Whether artifacts of @p spec carry this axis's column. */
+    bool emitted(const ExperimentSpec &spec) const
+    {
+        return !optionalColumn || swept(spec);
+    }
     /** Required, or @p pt's coordinate is not the default. */
     bool shown(const GridPoint &pt) const;
     /** The coordinate through a printf format. */
@@ -100,10 +106,11 @@ std::span<const Axis> axes();
 /** The axis with CSV/JSON key @p key; fatal() if none. */
 const Axis &axis(std::string_view key);
 
-/** @{ Flag-value parsers, shared with awsweep's scalar flags;
+/** @{ Flag-value parsers of the axis flags, awsweep and awsim;
  *  fatal() naming the flag on malformed input. */
 unsigned parseUnsigned(const char *flag, const char *value);
 double parseDouble(const char *flag, const char *value);
+std::uint64_t parseUint64(const char *flag, const char *value);
 /** @} */
 
 } // namespace aw::exp

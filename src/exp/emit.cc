@@ -92,7 +92,7 @@ class Coordinates
     explicit Coordinates(const ExperimentSpec &spec)
     {
         for (const Axis &a : axes())
-            if (!a.optionalColumn || a.swept(spec))
+            if (a.emitted(spec))
                 _columns.push_back(&a);
         std::ranges::sort(_columns, {}, &Axis::column);
     }

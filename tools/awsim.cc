@@ -16,12 +16,8 @@
  * Run `awsim --help` for the knob list.
  */
 
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -32,6 +28,7 @@
 #include "analysis/table.hh"
 #include "analysis/trace.hh"
 #include "cluster/fleet.hh"
+#include "exp/axis.hh"
 #include "exp/emit.hh"
 #include "exp/spec.hh"
 #include "server/server_sim.hh"
@@ -43,6 +40,9 @@ namespace {
 
 using namespace aw;
 using exp::configByName;
+using exp::parseDouble;
+using exp::parseUint64;
+using exp::parseUnsigned;
 using exp::profileByName;
 
 void
@@ -140,46 +140,6 @@ usage()
         "                    (default: one epoch; results are "
         "identical\n"
         "                    for any value)\n");
-}
-
-/** Parse a non-negative integer flag value or die. */
-unsigned
-parseUnsigned(const char *flag, const char *value)
-{
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long v = std::strtoul(value, &end, 10);
-    if (end == value || *end != '\0' || value[0] == '-' ||
-        errno == ERANGE ||
-        v > std::numeric_limits<unsigned>::max()) {
-        sim::fatal("%s: bad value '%s'", flag, value);
-    }
-    return static_cast<unsigned>(v);
-}
-
-/** Parse a floating-point flag value or die. */
-double
-parseDouble(const char *flag, const char *value)
-{
-    char *end = nullptr;
-    const double v = std::strtod(value, &end);
-    if (end == value || *end != '\0' || !std::isfinite(v))
-        sim::fatal("%s: bad value '%s'", flag, value);
-    return v;
-}
-
-/** Parse a 64-bit unsigned flag value or die. */
-std::uint64_t
-parseUint64(const char *flag, const char *value)
-{
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0' || value[0] == '-' ||
-        errno == ERANGE) {
-        sim::fatal("%s: bad value '%s'", flag, value);
-    }
-    return v;
 }
 
 /** --timeline/--timeline-json/--timeline-interval, resolved. */

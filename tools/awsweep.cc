@@ -20,9 +20,7 @@
  * Run `awsweep --help` for the full knob list.
  */
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -37,6 +35,7 @@ namespace {
 
 using namespace aw;
 using exp::parseDouble;
+using exp::parseUint64;
 using exp::parseUnsigned;
 
 void
@@ -110,18 +109,6 @@ axisFlag(const std::string &arg)
         if (axis.flag && arg == axis.flag)
             return &axis;
     return nullptr;
-}
-
-std::uint64_t
-parseUint64(const char *flag, const char *value)
-{
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0' || value[0] == '-' ||
-        errno == ERANGE)
-        sim::fatal("%s: bad value '%s'", flag, value);
-    return static_cast<std::uint64_t>(v);
 }
 
 } // namespace
@@ -256,7 +243,7 @@ main(int argc, char **argv)
         std::vector<const exp::Axis *> columns;
         std::vector<std::string> headers;
         for (const auto &axis : exp::axes())
-            if (axis.heading && (!axis.optionalColumn || axis.swept(spec))) {
+            if (axis.heading && axis.emitted(spec)) {
                 columns.push_back(&axis);
                 headers.push_back(axis.heading);
             }
