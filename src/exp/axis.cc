@@ -42,12 +42,17 @@ splitList(const std::string &arg)
     return out;
 }
 
-/** fatal() unless @p v lies in the axis's numeric range. */
+/** fatal() unless @p v lies in the axis's numeric range; the message
+ *  names @p spec (validate()) or, without one, the flag. */
 void
-checkRange(const Axis &a, double v, const std::string &where)
+checkRange(const Axis &a, double v, const Spec *spec = nullptr)
 {
-    if (!std::isfinite(v) || (a.positive ? v <= 0.0 : v < 0.0))
-        sim::fatal("%s: %s (got %g)", where.c_str(), a.rule, v);
+    if (std::isfinite(v) && (a.positive ? v > 0.0 : v >= 0.0))
+        return;
+    if (spec)
+        sim::fatal("ExperimentSpec '%s': %s axis: %s (got %g)",
+                   spec->name.c_str(), a.key, a.rule, v);
+    sim::fatal("%s: %s (got %g)", a.flag, a.rule, v);
 }
 
 template <typename T> constexpr bool kIsVector = false;
@@ -104,25 +109,22 @@ bind(Axis a)
                     v = parseDouble(ax.flag, item.c_str());
                 else
                     v = parseUnsigned(ax.flag, item.c_str());
-                checkRange(ax, v, ax.flag);
+                checkRange(ax, v);
                 (s.*S).push_back(v);
             }
         } else {
             s.*S = parseUnsigned(ax.flag, arg);
-            checkRange(ax, s.*S, ax.flag);
+            checkRange(ax, s.*S);
         }
     };
     if constexpr (!text)
         if (!a.check)
             a.check = [](const Axis &ax, const Spec &s) {
-                const std::string where =
-                    sim::strprintf("ExperimentSpec '%s': %s axis",
-                                   s.name.c_str(), ax.key);
                 if constexpr (list)
                     for (const double v : s.*S)
-                        checkRange(ax, v, where);
+                        checkRange(ax, v, &s);
                 else
-                    checkRange(ax, s.*S, where);
+                    checkRange(ax, s.*S, &s);
             };
     return a;
 }
