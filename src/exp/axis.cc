@@ -104,7 +104,7 @@ bind(Axis a)
         } else if constexpr (list) {
             (s.*S).clear();
             for (const auto &item : splitList(arg)) {
-                T v;
+                T v{};
                 if constexpr (std::is_same_v<T, double>)
                     v = parseDouble(ax.flag, item.c_str());
                 else
