@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdio>
+#include <ostream>
 #include <string>
 
 namespace {
@@ -137,6 +138,13 @@ struct BadFlag
     const char *args;
     const char *needle;
 };
+
+/** Name the test case by its flags, not by the row's addresses. */
+void
+PrintTo(const BadFlag &f, std::ostream *os)
+{
+    *os << f.args;
+}
 
 class AwsimToolRejects : public ::testing::TestWithParam<BadFlag>
 {};

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 
@@ -104,6 +105,13 @@ struct BadFlag
     const char *args;
     const char *needle;
 };
+
+/** Name the test case by its flags, not by the row's addresses. */
+void
+PrintTo(const BadFlag &f, std::ostream *os)
+{
+    *os << f.args;
+}
 
 class AwsweepToolRejects : public ::testing::TestWithParam<BadFlag>
 {};

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "cstate/governors.hh"
@@ -178,16 +179,29 @@ TEST(CoreSim, PollModeWhenNoIdleStates)
     EXPECT_GT(h.core.requestsCompleted(), 0u);
 }
 
+/** One evaluation config and the factory that builds it. */
+struct NamedConfig
+{
+    const char *name;
+    ServerConfig (*make)();
+};
+
+/** Name the test case by its config, not by the factory's address. */
+void
+PrintTo(const NamedConfig &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 /** Property: across all evaluation configs, the core completes
  *  work and keeps residency accounting consistent. */
-class CoreSimConfigs
-    : public ::testing::TestWithParam<ServerConfig (*)()>
+class CoreSimConfigs : public ::testing::TestWithParam<NamedConfig>
 {
 };
 
 TEST_P(CoreSimConfigs, InvariantsHold)
 {
-    CoreHarness h(GetParam()(), 20000.0);
+    CoreHarness h(GetParam().make(), 20000.0);
     h.core.start();
     h.simr.run(fromSec(0.3));
     EXPECT_GT(h.core.requestsCompleted(), 0u);
@@ -197,17 +211,18 @@ TEST_P(CoreSimConfigs, InvariantsHold)
 
 INSTANTIATE_TEST_SUITE_P(
     AllConfigs, CoreSimConfigs,
-    ::testing::Values(&ServerConfig::baseline,
-                      &ServerConfig::awBaseline,
-                      &ServerConfig::ntBaseline,
-                      &ServerConfig::ntNoC6,
-                      &ServerConfig::ntNoC6NoC1e,
-                      &ServerConfig::ntAwNoC6NoC1e,
-                      &ServerConfig::tNoC6,
-                      &ServerConfig::tNoC6NoC1e,
-                      &ServerConfig::tAwNoC6NoC1e,
-                      &ServerConfig::legacyC1C6,
-                      &ServerConfig::legacyC1Only,
-                      &ServerConfig::awC6aOnly));
+    ::testing::Values(
+        NamedConfig{"baseline", &ServerConfig::baseline},
+        NamedConfig{"awBaseline", &ServerConfig::awBaseline},
+        NamedConfig{"ntBaseline", &ServerConfig::ntBaseline},
+        NamedConfig{"ntNoC6", &ServerConfig::ntNoC6},
+        NamedConfig{"ntNoC6NoC1e", &ServerConfig::ntNoC6NoC1e},
+        NamedConfig{"ntAwNoC6NoC1e", &ServerConfig::ntAwNoC6NoC1e},
+        NamedConfig{"tNoC6", &ServerConfig::tNoC6},
+        NamedConfig{"tNoC6NoC1e", &ServerConfig::tNoC6NoC1e},
+        NamedConfig{"tAwNoC6NoC1e", &ServerConfig::tAwNoC6NoC1e},
+        NamedConfig{"legacyC1C6", &ServerConfig::legacyC1C6},
+        NamedConfig{"legacyC1Only", &ServerConfig::legacyC1Only},
+        NamedConfig{"awC6aOnly", &ServerConfig::awC6aOnly}));
 
 } // namespace

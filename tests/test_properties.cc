@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/power_model.hh"
@@ -158,7 +160,7 @@ TEST(PropertyGovernor, DeeperPredictionsNeverPickShallower)
 // ---------------------------------------------------------------
 
 class EnergyIdentity
-    : public ::testing::TestWithParam<std::tuple<const char *, double>>
+    : public ::testing::TestWithParam<std::tuple<std::string, double>>
 {
 };
 
@@ -166,9 +168,9 @@ TEST_P(EnergyIdentity, MeterEqualsResidencyWeightedSum)
 {
     const auto [cfg_name, qps] = GetParam();
     server::ServerConfig cfg =
-        std::string(cfg_name) == "nt_baseline"
+        cfg_name == "nt_baseline"
             ? server::ServerConfig::ntBaseline()
-            : (std::string(cfg_name) == "nt_aw"
+            : (cfg_name == "nt_aw"
                    ? server::ServerConfig::ntAwNoC6NoC1e()
                    : server::ServerConfig::legacyC1C6());
     server::ServerSim srv(
@@ -186,8 +188,9 @@ TEST_P(EnergyIdentity, MeterEqualsResidencyWeightedSum)
 
 INSTANTIATE_TEST_SUITE_P(
     ConfigsAndRates, EnergyIdentity,
-    ::testing::Combine(::testing::Values("nt_baseline", "nt_aw",
-                                         "c1c6"),
+    ::testing::Combine(::testing::Values(std::string("nt_baseline"),
+                                         std::string("nt_aw"),
+                                         std::string("c1c6")),
                        ::testing::Values(20e3, 100e3, 300e3)));
 
 // ---------------------------------------------------------------
