@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -270,6 +271,160 @@ TEST(FleetKernel, PackFirstPlusAwBeatsSpreadTunedC6AtFleetScale)
     EXPECT_LT(packed.fleetPower, spread.fleetPower);
     EXPECT_GT(packed.maxServerDeepShare, 0.95);
 }
+
+// -------------------------------------------- pooled latency bits
+
+/**
+ * One fleet whose pooled latency triple is pinned to the bit. The
+ * goldens print ten significant digits, so a change in how the
+ * fleet fold sums or ranks its samples (summation order, a
+ * different percentile rank) could slip past them; these cases
+ * cannot.
+ */
+struct PinnedFleet
+{
+    const char *name;
+    FleetConfig (*make)();
+    double qps;
+    double seconds;
+    double avgUs;
+    double p99Us;
+    double p999Us;
+    bool reusesIdle = false;
+};
+
+void
+PrintTo(const PinnedFleet &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+FleetConfig
+pinnedSpread(const char *routing)
+{
+    auto fc = kernelFleet(routing, 8);
+    fc.seed = 7;
+    fc.fleetThreads = 2;
+    return fc;
+}
+
+FleetConfig
+cappedHeadroom()
+{
+    // Headroom routing against real budgets, re-dealt every 20 ms.
+    auto fc = pinnedSpread("route-to-headroom");
+    fc.server.cap.capWatts = 20.0;
+    fc.epochSeconds = 0.02;
+    return fc;
+}
+
+FleetConfig
+cappedRoundRobin()
+{
+    // Budget redistribution on: the planner re-deals a 16 W/server
+    // fleet budget every 20 ms across a flash crowd.
+    FleetConfig fc;
+    fc.servers = 4;
+    fc.server = exp::configByName("aw");
+    fc.server.idlePromotion = true;
+    fc.server.cap.capWatts = 16.0;
+    fc.routing = "round-robin";
+    fc.seed = 42;
+    fc.epochSeconds = 0.02;
+    fc.schedule =
+        cluster::RateSchedule::flashCrowd(sim::fromSec(0.2), 3.0);
+    return fc;
+}
+
+FleetConfig
+packFirstWithIdleReuse()
+{
+    // Far more servers than outstanding work: most of the fleet is
+    // never routed and shares the idle reference run.
+    auto fc = kernelFleet("pack-first", 24);
+    fc.fleetThreads = 2;
+    return fc;
+}
+
+std::string
+hexfloat(double v)
+{
+    std::ostringstream os;
+    os << std::hexfloat << v;
+    return os.str();
+}
+
+class FleetLatencyBits : public testing::TestWithParam<PinnedFleet>
+{};
+
+TEST_P(FleetLatencyBits, PooledTripleIsBitExact)
+{
+    const PinnedFleet &c = GetParam();
+    FleetSim fleet(c.make(), workload::WorkloadProfile::memcached(),
+                   c.qps);
+    const sim::Tick duration = sim::fromSec(c.seconds);
+    const auto r = fleet.run(duration, duration / 10);
+    if (c.reusesIdle)
+        EXPECT_GT(r.neverRouted, 1u); // the idle reuse engaged
+    EXPECT_EQ(r.avgLatencyUs, c.avgUs)
+        << "avg " << hexfloat(r.avgLatencyUs) << " pinned "
+        << hexfloat(c.avgUs);
+    EXPECT_EQ(r.p99LatencyUs, c.p99Us)
+        << "p99 " << hexfloat(r.p99LatencyUs) << " pinned "
+        << hexfloat(c.p99Us);
+    EXPECT_EQ(r.p999LatencyUs, c.p999Us)
+        << "p99.9 " << hexfloat(r.p999LatencyUs) << " pinned "
+        << hexfloat(c.p999Us);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pinned, FleetLatencyBits,
+    testing::Values(
+        PinnedFleet{"round_robin",
+                    [] { return pinnedSpread("round-robin"); },
+                    60e3, 0.08,
+                    0x1.1721152530fd4p+3,
+                    0x1.5ee601bc98a22p+5,
+                    0x1.244a697aeddcep+6},
+        PinnedFleet{"random",
+                    [] { return pinnedSpread("random"); },
+                    60e3, 0.08,
+                    0x1.481b393c4d3c6p+3,
+                    0x1.7a87ad080b674p+5,
+                    0x1.3a89cd3e0bd45p+6},
+        PinnedFleet{"least_outstanding",
+                    [] { return pinnedSpread("least-outstanding"); },
+                    60e3, 0.08,
+                    0x1.33934f6196ec6p+3,
+                    0x1.5dd60956c0d6fp+5,
+                    0x1.5f89363f572dep+6},
+        PinnedFleet{"pack_first",
+                    [] { return pinnedSpread("pack-first"); },
+                    60e3, 0.08,
+                    0x1.2ac39de0d4ff5p+3,
+                    0x1.566a8650e7792p+5,
+                    0x1.605f7dfa00e28p+6},
+        PinnedFleet{"route_to_headroom",
+                    cappedHeadroom,
+                    60e3, 0.08,
+                    0x1.bcee352ac36f4p+6,
+                    0x1.290ca4db163bbp+10,
+                    0x1.abcd26809d495p+10},
+        PinnedFleet{"capped_round_robin",
+                    cappedRoundRobin,
+                    150e3, 0.2,
+                    0x1.6ea0a9e4a01b5p+13,
+                    0x1.037ee6db7282p+15,
+                    0x1.1310d550ebaaep+15},
+        PinnedFleet{"pack_first_idle_reuse",
+                    packFirstWithIdleReuse,
+                    5e3, 0.08,
+                    0x1.928e350abf415p+4,
+                    0x1.0c6f00ef1348bp+6,
+                    0x1.d8afb3b752114p+6, true}),
+    [](const testing::TestParamInfo<PinnedFleet> &info) {
+        return std::string(info.param.name);
+    });
 
 // ----------------------------------------------------- validation
 
