@@ -1,9 +1,9 @@
 #include "analysis/sampler.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "sim/logging.hh"
+#include "sim/stats.hh"
 
 namespace aw::analysis {
 
@@ -15,20 +15,6 @@ std::string
 num(double v)
 {
     return sim::strprintf("%.10g", v);
-}
-
-/** Nearest-rank p99 over a *sorted* sample vector (matches
- *  sim::PercentileTracker::percentile semantics). */
-double
-p99Sorted(const std::vector<double> &sorted)
-{
-    if (sorted.empty())
-        return 0.0;
-    const auto n = static_cast<double>(sorted.size());
-    auto rank = static_cast<std::size_t>(std::ceil(0.99 * n));
-    if (rank == 0)
-        rank = 1;
-    return sorted[rank - 1];
 }
 
 } // namespace
@@ -111,7 +97,7 @@ TimelineRecorder::closeInterval(sim::Tick t1)
     const double sec = sim::toSec(t1 - _intervalStart);
     s.powerW = sec > 0.0 ? _energyJ / sec : 0.0;
     std::sort(_latencies.begin(), _latencies.end());
-    s.p99Us = p99Sorted(_latencies);
+    s.p99Us = sim::percentileOfSorted(_latencies, 99.0);
     const double core_time = sec * static_cast<double>(_cores.size());
     for (std::size_t i = 0; i < cstate::kNumCStates; ++i) {
         s.residency[i] =
@@ -392,7 +378,7 @@ foldTimelines(const std::vector<TimelineSeries> &parts)
         s.freqGhz /= static_cast<double>(out.cores);
         s.throttledShare /= static_cast<double>(out.cores);
         std::sort(pooled.begin(), pooled.end());
-        s.p99Us = p99Sorted(pooled);
+        s.p99Us = sim::percentileOfSorted(pooled, 99.0);
     }
     return out;
 }

@@ -1,9 +1,9 @@
 #include "analysis/trace.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "sim/logging.hh"
+#include "sim/stats.hh"
 
 namespace aw::analysis {
 
@@ -15,20 +15,6 @@ std::string
 num(double v)
 {
     return sim::strprintf("%.10g", v);
-}
-
-/** Nearest-rank percentile over a *sorted* tick vector (matches
- *  sim::PercentileTracker::percentile semantics). */
-sim::Tick
-percentileSorted(const std::vector<sim::Tick> &sorted, double p)
-{
-    if (sorted.empty())
-        return 0;
-    const auto n = static_cast<double>(sorted.size());
-    auto rank = static_cast<std::size_t>(std::ceil(p / 100.0 * n));
-    if (rank == 0)
-        rank = 1;
-    return sorted[rank - 1];
 }
 
 } // namespace
@@ -401,8 +387,8 @@ attributeTail(const TraceSeries &series)
     for (const auto &span : series.spans)
         latencies.push_back(span.latency());
     std::sort(latencies.begin(), latencies.end());
-    const sim::Tick p99 = percentileSorted(latencies, 99.0);
-    const sim::Tick p999 = percentileSorted(latencies, 99.9);
+    const sim::Tick p99 = sim::percentileOfSorted(latencies, 99.0);
+    const sim::Tick p999 = sim::percentileOfSorted(latencies, 99.9);
     attr.p99Us = sim::toUs(p99);
     attr.p999Us = sim::toUs(p999);
 

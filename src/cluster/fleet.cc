@@ -4,6 +4,7 @@
 #include <cmath>
 #include <queue>
 #include <set>
+#include <utility>
 
 #include "analysis/observers.hh"
 #include "cap/powercap.hh"
@@ -129,16 +130,6 @@ using InFlightHeap =
     std::priority_queue<InFlight, std::vector<InFlight>,
                         std::greater<InFlight>>;
 
-/** Results of one per-server run, written into its pre-assigned
- *  slot by whichever worker executed it. */
-struct ServerSlot
-{
-    server::RunResult result;
-    std::optional<analysis::TimelineSeries> timeline;
-    std::optional<analysis::TraceSeries> trace;
-    sim::PercentileTracker latency;
-};
-
 } // namespace
 
 double
@@ -242,9 +233,13 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
     // outstanding-work signal real L7 balancers route on. The
     // estimate lives entirely on the balancer side (it never reads
     // live server state), which is what makes the per-server phase
-    // below embarrassingly parallel.
+    // below embarrassingly parallel. Policies that never read
+    // occupancy (round-robin, random) skip the estimate altogether:
+    // est_rng is its own stream and the outstanding counts are read
+    // only through the view, so no routing decision can tell.
     auto offered = makeOfferedStream();
     auto policy = makeRoutingPolicy(_cfg.routing, packCapacity());
+    const bool track_occupancy = policy->readsOccupancy();
     sim::Rng lb_rng(sim::deriveSeed(_cfg.seed, K));
     sim::Rng est_rng(sim::deriveSeed(_cfg.seed, K + 1));
 
@@ -363,12 +358,14 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
             ++decisions_emitted;
         }
 
-        const sim::Tick estimate =
-            _profile.service().draw(est_rng).duration(
-                _profile.service().referenceFrequency());
-        in_flight.push(InFlight{now + estimate, target});
-        ++lb.outstanding[target];
-        view.onRouted(target);
+        if (track_occupancy) {
+            const sim::Tick estimate =
+                _profile.service().draw(est_rng).duration(
+                    _profile.service().referenceFrequency());
+            in_flight.push(InFlight{now + estimate, target});
+            ++lb.outstanding[target];
+            view.onRouted(target);
+        }
     }
 
     // ---------------------------------------------- per-server runs
@@ -405,7 +402,15 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
         to_run.push_back(i);
     }
 
-    std::vector<ServerSlot> slots(K);
+    // Each run writes only its own index of these, so the worker
+    // partition needs no locks and no ordering; determinism comes
+    // from the in-order fold below. The observer series exist only
+    // when enabled: a TimelineSeries alone is ~19 KB, which over
+    // K=10k servers would be ~190 MB of nothing.
+    fr.perServer.resize(K);
+    std::vector<sim::PercentileTracker> latencies(K);
+    std::vector<analysis::TimelineSeries> timelines(_timeline ? K : 0);
+    std::vector<analysis::TraceSeries> traces(_requestTrace ? K : 0);
     const auto runServer = [&](unsigned i) {
         server::ServerConfig scfg = _cfg.server;
         scfg.seed = sim::deriveSeed(_cfg.seed, i);
@@ -422,19 +427,18 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
                 /*loop=*/false));
         // Never-routed servers all carry the identical base-budget
         // schedule (zero demand every epoch), which is what keeps
-        // the idle-reference slot reuse below bit-identical.
+        // the idle-reference reuse below bit-identical.
         if (redistribute && !cap_spans[i].empty())
             srv.setCapSchedule(cap_spans[i]);
         analysis::ServerTelemetry telemetry(_timeline, _requestTrace,
                                             scfg.cores);
         telemetry.attach(srv);
-        ServerSlot &slot = slots[i];
-        slot.result = srv.run(duration, warmup);
+        fr.perServer[i] = srv.run(duration, warmup);
         if (telemetry.recorder)
-            slot.timeline = telemetry.recorder->series();
+            timelines[i] = telemetry.recorder->series();
         if (telemetry.tracer)
-            slot.trace = telemetry.tracer->series();
-        slot.latency = srv.latencySamples();
+            traces[i] = telemetry.tracer->series();
+        latencies[i] = srv.takeLatencySamples();
     };
 
     const unsigned workers = std::min<std::size_t>(
@@ -444,36 +448,35 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
         for (const unsigned i : to_run)
             runServer(i);
     } else {
-        // Each run writes only its pre-assigned slot, so the
-        // partition needs no locks and no ordering; determinism
-        // comes from the in-order aggregation below.
         sim::ThreadPool pool(workers);
         for (const unsigned i : to_run)
             pool.submit([&runServer, i] { runServer(i); });
         pool.wait();
     }
-    for (unsigned i = 0; i < K; ++i)
-        if (reuse_ref[i])
-            slots[i] = slots[idle_ref];
-
-    // Aggregate in strict server-index order: the floating-point op
-    // sequence (and thus every emitted byte) is independent of how
-    // the runs were scheduled.
-    sim::PercentileTracker pooled;
-    std::vector<analysis::TimelineSeries> timelines;
-    if (_timeline)
-        timelines.reserve(K);
-    std::vector<analysis::TraceSeries> traces;
-    if (_requestTrace)
-        traces.reserve(K);
+    std::size_t samples = 0;
     for (unsigned i = 0; i < K; ++i) {
-        ServerSlot &slot = slots[i];
-        server::RunResult &r = slot.result;
-        if (slot.timeline)
-            timelines.push_back(std::move(*slot.timeline));
-        if (slot.trace)
-            traces.push_back(std::move(*slot.trace));
-        pooled.merge(slot.latency);
+        if (reuse_ref[i]) {
+            fr.perServer[i] = fr.perServer[idle_ref];
+            latencies[i] = latencies[idle_ref];
+            if (_timeline)
+                timelines[i] = timelines[idle_ref];
+            if (_requestTrace)
+                traces[i] = traces[idle_ref];
+        }
+        samples += latencies[i].count();
+    }
+
+    // Fold in strict server-index order: the floating-point op
+    // sequence (and thus every emitted byte) is independent of how
+    // the runs were scheduled. The pooled mean sums each server's
+    // samples in storage order, which is ascending: the server's
+    // own p99 query sorted them in its worker. Each server's
+    // samples are freed as soon as they are pooled.
+    sim::PercentileTracker pooled;
+    pooled.reserve(samples);
+    for (unsigned i = 0; i < K; ++i) {
+        const server::RunResult &r = fr.perServer[i];
+        pooled.merge(std::exchange(latencies[i], {}));
 
         fr.window = r.window;
         fr.requests += r.requests;
@@ -495,7 +498,6 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
             fr.residency.share[s] += r.residency.share[s] / K;
             fr.residency.entries[s] += r.residency.entries[s];
         }
-        fr.perServer.push_back(std::move(r));
     }
     fr.residency.window = fr.window;
     if (_timeline)
@@ -526,8 +528,9 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
     fr.deepIdleShare = deepIdleShare(fr.residency);
     if (!pooled.empty()) {
         fr.avgLatencyUs = pooled.mean();
-        fr.p99LatencyUs = pooled.p99();
-        fr.p999LatencyUs = pooled.p999();
+        const auto tail = pooled.selectPercentiles({99.0, 99.9});
+        fr.p99LatencyUs = tail[0];
+        fr.p999LatencyUs = tail[1];
     }
     if (total_routed > 0) {
         const auto busiest = *std::max_element(lb.routed.begin(),

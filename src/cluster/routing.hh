@@ -74,6 +74,15 @@ class RoutingPolicy
     /** Choose a server index in [0, view.servers()). */
     virtual std::size_t route(const FleetView &view,
                               sim::Rng &rng) = 0;
+
+    /**
+     * Whether route() reads the view's occupancy: outstanding(),
+     * firstUnderCapacity() or headroomWatts(). A fixed property of
+     * the policy. When false the fleet balancer keeps no occupancy
+     * estimate at all -- no service-time draws, no in-flight heap --
+     * which changes no decision, since the policy never looks.
+     */
+    virtual bool readsOccupancy() const { return true; }
 };
 
 /** Cycle through the servers in index order. */
@@ -82,6 +91,7 @@ class RoundRobinRouting : public RoutingPolicy
   public:
     const char *name() const override { return "round-robin"; }
     std::size_t route(const FleetView &view, sim::Rng &rng) override;
+    bool readsOccupancy() const override { return false; }
 
   private:
     std::size_t _next = 0;
@@ -93,6 +103,7 @@ class RandomRouting : public RoutingPolicy
   public:
     const char *name() const override { return "random"; }
     std::size_t route(const FleetView &view, sim::Rng &rng) override;
+    bool readsOccupancy() const override { return false; }
 };
 
 /** Fewest outstanding requests; ties break to the lowest index. */

@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cap/powercap.hh"
@@ -134,11 +135,18 @@ class ServerSim
         return _sim.eventsExecuted();
     }
 
-    /** Per-request latency samples of the last measured window;
-     *  fleet aggregation pools these for exact global percentiles. */
-    const sim::PercentileTracker &latencySamples() const
+    /** Hand over the per-request latency samples of the last
+     *  measured window (fleet aggregation pools them for exact
+     *  global percentiles), trimmed to their count so the run-time
+     *  reservation stays behind. run()'s percentile queries have
+     *  already sorted them. */
+    sim::PercentileTracker
+    takeLatencySamples()
     {
-        return _latency;
+        sim::PercentileTracker out = std::move(_latency);
+        _latency = {};
+        out.shrinkToFit();
+        return out;
     }
 
     /** Attach a passive telemetry observer (see server/telemetry.hh)

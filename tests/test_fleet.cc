@@ -9,11 +9,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/power_model.hh"
 #include "cluster/diurnal.hh"
 #include "cluster/fleet.hh"
 #include "cluster/routing.hh"
+#include "sim/logging.hh"
 #include "workload/profiles.hh"
 
 namespace {
@@ -109,6 +113,65 @@ TEST(Routing, PackFirstFillsThenSpills)
     EXPECT_EQ(pack.route(view, rng), 2u);
     view._counts = {2, 3, 2};
     EXPECT_EQ(pack.route(view, rng), 0u); // all full: least loaded
+}
+
+/** A FleetView whose every occupancy query is a panic: a policy
+ *  routing against it may consult servers() and nothing else. */
+class PoisonedView : public FleetView
+{
+  public:
+    explicit PoisonedView(std::size_t n) : _n(n) {}
+
+    std::size_t servers() const override { return _n; }
+    unsigned outstanding(std::size_t) const override
+    {
+        sim::panic("occupancy-blind policy read outstanding()");
+    }
+    std::size_t firstUnderCapacity(unsigned) const override
+    {
+        sim::panic("occupancy-blind policy read firstUnderCapacity()");
+    }
+    double headroomWatts(std::size_t) const override
+    {
+        sim::panic("occupancy-blind policy read headroomWatts()");
+    }
+
+  private:
+    std::size_t _n;
+};
+
+TEST(Routing, OccupancyBlindPoliciesNeverReadTheView)
+{
+    // The balancer keeps no occupancy estimate for a policy whose
+    // readsOccupancy() is false, so such a policy must route on
+    // servers() alone. Every policy is listed with its trait: a new
+    // one fails here until it is added.
+    const std::vector<std::pair<std::string, bool>> declared{
+        {"round-robin", false},      {"random", false},
+        {"least-outstanding", true}, {"pack-first", true},
+        {"route-to-headroom", true},
+    };
+    ASSERT_EQ(declared.size(), routingPolicyNames().size());
+    for (const auto &[name, reads] : declared) {
+        ASSERT_NE(std::find(routingPolicyNames().begin(),
+                            routingPolicyNames().end(), name),
+                  routingPolicyNames().end())
+            << name;
+        auto policy = makeRoutingPolicy(name, 2);
+        EXPECT_EQ(policy->readsOccupancy(), reads) << name;
+        if (reads)
+            continue;
+        const PoisonedView view(37);
+        sim::Rng rng(11);
+        std::vector<unsigned> hits(37, 0);
+        for (int k = 0; k < 10000; ++k) {
+            const std::size_t s = policy->route(view, rng);
+            ASSERT_LT(s, 37u) << name;
+            ++hits[s];
+        }
+        for (const unsigned h : hits)
+            EXPECT_GT(h, 0u) << name;
+    }
 }
 
 // ---------------------------------------------------------- diurnal
