@@ -404,9 +404,9 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
 
     // Each run writes only its own index of these, so the worker
     // partition needs no locks and no ordering; determinism comes
-    // from the in-order fold below. The observer series exist only
-    // when enabled: a TimelineSeries alone is ~19 KB, which over
-    // K=10k servers would be ~190 MB of nothing.
+    // from the in-order fold below. The observer series are sized
+    // only when enabled: one TimelineSeries is ~19 KB, so K empty
+    // ones would dominate a 10k-server run's memory.
     fr.perServer.resize(K);
     std::vector<sim::PercentileTracker> latencies(K);
     std::vector<analysis::TimelineSeries> timelines(_timeline ? K : 0);

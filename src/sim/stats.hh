@@ -139,7 +139,9 @@ class PercentileTracker
      * a full sort: one std::nth_element per rank, each over the tail
      * the previous one left. For one or two tail ranks over millions
      * of samples this is O(n) instead of O(n log n). Leaves the
-     * samples partially ordered, which no other accessor depends on.
+     * samples partially ordered: percentile() still sorts and mean()
+     * is order-free, but a later merge() of this tracker into
+     * another sums them in the new order.
      */
     std::vector<double>
     selectPercentiles(const std::vector<double> &ps) const;
