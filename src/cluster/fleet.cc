@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
-#include <set>
 #include <utility>
 
 #include "analysis/observers.hh"
+#include "cluster/balancer.hh"
 #include "cap/powercap.hh"
 #include "cstate/governors.hh"
 #include "freq/policies.hh"
@@ -36,85 +36,6 @@ struct LbState
 
     /** Per-server inter-arrival splits of the offered stream. */
     std::vector<std::vector<sim::Tick>> gaps;
-};
-
-/**
- * Concrete FleetView over the SoA outstanding column. When built
- * with a non-zero pack capacity it maintains an ordered index of
- * under-capacity servers, so pack-first's "lowest-indexed server
- * below capacity" probe is O(log K) instead of an O(K) scan across
- * the packed prefix -- the scan is the balancer bottleneck at
- * K=10k, where nearly every probe walks hundreds of at-capacity
- * servers before finding the spill target. The index answers
- * exactly what the linear scan would.
- */
-class IndexedView : public FleetView
-{
-  public:
-    /**
-     * @param budgets current per-server cap budgets, updated in
-     *                place by the balancer at epoch boundaries;
-     *                nullptr when no power cap is configured (the
-     *                headroom default then makes route-to-headroom
-     *                degrade to least-outstanding).
-     * @param watts_per_request estimated draw one outstanding
-     *                request adds (the ladder-top per-core active
-     *                power: each request occupies one core).
-     */
-    IndexedView(const std::vector<unsigned> &counts,
-                unsigned pack_capacity,
-                const std::vector<power::Watts> *budgets = nullptr,
-                double watts_per_request = 0.0)
-        : _counts(counts), _capacity(pack_capacity),
-          _budgets(budgets), _wattsPerRequest(watts_per_request)
-    {
-        if (_capacity > 0)
-            for (std::uint32_t i = 0; i < counts.size(); ++i)
-                _under.insert(_under.end(), i);
-    }
-
-    std::size_t servers() const override { return _counts.size(); }
-    unsigned outstanding(std::size_t i) const override
-    {
-        return _counts[i]; // route() is bounded by servers()
-    }
-
-    std::size_t firstUnderCapacity(unsigned capacity) const override
-    {
-        if (_capacity == 0 || capacity != _capacity)
-            return FleetView::firstUnderCapacity(capacity);
-        if (_under.empty())
-            return _counts.size();
-        return *_under.begin();
-    }
-
-    double headroomWatts(std::size_t i) const override
-    {
-        if (!_budgets)
-            return FleetView::headroomWatts(i);
-        return (*_budgets)[i] - _wattsPerRequest * _counts[i];
-    }
-
-    /** Balancer bookkeeping after routing to @p i. */
-    void onRouted(std::size_t i)
-    {
-        if (_capacity > 0 && _counts[i] >= _capacity)
-            _under.erase(static_cast<std::uint32_t>(i));
-    }
-
-    /** Balancer bookkeeping after a completion at @p i. */
-    void onCompleted(std::size_t i)
-    {
-        if (_capacity > 0 && _counts[i] == _capacity - 1)
-            _under.insert(static_cast<std::uint32_t>(i));
-    }
-
-  private:
-    const std::vector<unsigned> &_counts;
-    const unsigned _capacity;
-    const std::vector<power::Watts> *_budgets;
-    const double _wattsPerRequest;
-    std::set<std::uint32_t> _under;
 };
 
 /** One request in flight in the balancer's occupancy estimate. */
@@ -243,6 +164,21 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
     sim::Rng lb_rng(sim::deriveSeed(_cfg.seed, K));
     sim::Rng est_rng(sim::deriveSeed(_cfg.seed, K + 1));
 
+    // The pool exists before the balancer pass so that, while the
+    // balancer routes, a worker can draw the occupancy estimates
+    // ahead: est_rng is private and the k-th routed request always
+    // takes its k-th draw, so no routing decision can change that
+    // sequence. The producer is joined before the servers run.
+    const unsigned workers = std::min(
+        sim::ThreadPool::resolveThreads(_cfg.fleetThreads), K);
+    std::optional<sim::ThreadPool> pool;
+    if (workers > 1)
+        pool.emplace(workers);
+    std::optional<EstimateStream> estimates;
+    if (track_occupancy)
+        estimates.emplace(_profile.service(), est_rng,
+                          pool ? &*pool : nullptr);
+
     LbState lb(K);
 
     const sim::Tick epoch = _cfg.epochSeconds > 0.0
@@ -276,11 +212,11 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
     // asks the question it answers. Headroom routing estimates one
     // ladder-top busy core of draw per outstanding request.
     const freq::PStateLadder ladder(_cfg.server.pstates);
-    IndexedView view(lb.outstanding,
-                     _cfg.routing == "pack-first" ? packCapacity()
-                                                  : 0,
-                     cap_on ? &cur_budget : nullptr,
-                     ladder.activePower(ladder.top()));
+    BalancerView view(lb.outstanding,
+                      _cfg.routing == "pack-first" ? packCapacity()
+                                                   : 0,
+                      cap_on ? &cur_budget : nullptr,
+                      ladder.activePower(ladder.top()));
     InFlightHeap in_flight;
 
     // Completion estimates are published by draining the heap up to
@@ -359,14 +295,12 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
         }
 
         if (track_occupancy) {
-            const sim::Tick estimate =
-                _profile.service().draw(est_rng).duration(
-                    _profile.service().referenceFrequency());
-            in_flight.push(InFlight{now + estimate, target});
+            in_flight.push(InFlight{now + estimates->next(), target});
             ++lb.outstanding[target];
             view.onRouted(target);
         }
     }
+    estimates.reset(); // join the producer: the servers need the pool
 
     // ---------------------------------------------- per-server runs
     FleetResult fr;
@@ -441,17 +375,13 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
         latencies[i] = srv.takeLatencySamples();
     };
 
-    const unsigned workers = std::min<std::size_t>(
-        sim::ThreadPool::resolveThreads(_cfg.fleetThreads),
-        to_run.size());
-    if (workers <= 1) {
+    if (pool) {
+        for (const unsigned i : to_run)
+            pool->submit([&runServer, i] { runServer(i); });
+        pool->wait();
+    } else {
         for (const unsigned i : to_run)
             runServer(i);
-    } else {
-        sim::ThreadPool pool(workers);
-        for (const unsigned i : to_run)
-            pool.submit([&runServer, i] { runServer(i); });
-        pool.wait();
     }
     std::size_t samples = 0;
     for (unsigned i = 0; i < K; ++i) {

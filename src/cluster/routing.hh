@@ -42,9 +42,10 @@ class FleetView
      * The lowest-indexed server with outstanding work below
      * @p capacity, or servers() when every server is at or above
      * it. The default is the linear scan pack-first has always
-     * routed with; views that maintain an ordered under-capacity
-     * index (the fleet balancer's does) override it to answer in
-     * O(log K) instead of O(K) -- the answer must be identical.
+     * routed with; views that maintain an under-capacity index
+     * (the fleet balancer's bitmap does, see cluster/balancer.hh)
+     * override it to answer without walking the packed prefix --
+     * the answer must be identical.
      */
     virtual std::size_t firstUnderCapacity(unsigned capacity) const;
 

@@ -54,6 +54,20 @@ ThreadPool::submit(std::function<void()> task)
     _workCv.notify_one();
 }
 
+std::future<void>
+ThreadPool::async(std::function<void()> task)
+{
+    // std::function needs a copyable target, hence the shared
+    // promise rather than a packaged_task.
+    auto done = std::make_shared<std::promise<void>>();
+    std::future<void> handle = done->get_future();
+    submit([task = std::move(task), done] {
+        task();
+        done->set_value();
+    });
+    return handle;
+}
+
 std::optional<std::function<void()>>
 ThreadPool::take(std::size_t self)
 {

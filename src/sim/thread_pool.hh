@@ -16,6 +16,7 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -40,6 +41,13 @@ class ThreadPool
 
     /** Enqueue one task. */
     void submit(std::function<void()> task);
+
+    /**
+     * Enqueue one task and return its completion handle: the future
+     * becomes ready once the task has run, and everything the task
+     * wrote is visible to the thread that waits on it.
+     */
+    std::future<void> async(std::function<void()> task);
 
     /** Block until every submitted task has finished. */
     void wait();

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/balancer.hh"
 #include "cluster/fleet.hh"
 #include "exp/emit.hh"
 #include "exp/runner.hh"
@@ -425,6 +426,57 @@ INSTANTIATE_TEST_SUITE_P(
     [](const testing::TestParamInfo<PinnedFleet> &info) {
         return std::string(info.param.name);
     });
+
+// ----------------------------------------- estimate chunk boundaries
+
+/**
+ * The balancer draws its occupancy estimates EstimateStream::kChunk
+ * at a time, ahead on the fleet pool when there is one. These fleets
+ * route across several chunk switches and stop mid-chunk, so a
+ * producer that skipped, repeated or reordered a chunk, or raced the
+ * balancer, would move the run at some thread count; the pinned
+ * triples were recorded before the estimates were drawn ahead.
+ */
+TEST(FleetKernel, EstimateChunkBoundariesAreInvisibleAcrossThreads)
+{
+    const PinnedFleet fleets[] = {
+        {"pack_first", [] { return pinnedSpread("pack-first"); },
+         60e3, 0.5,
+         0x1.2b6aec0fd858fp+3,
+         0x1.5ac21d10b1fefp+5,
+         0x1.2df88c1db0143p+6},
+        {"capped_route_to_headroom", cappedHeadroom,
+         60e3, 0.5,
+         0x1.0f73ba5974863p+3,
+         0x1.3988909289daep+5,
+         0x1.33bc065b63d3ep+6},
+    };
+    for (const PinnedFleet &c : fleets) {
+        SCOPED_TRACE(c.name);
+        const auto once = [&c](unsigned threads) {
+            auto fc = c.make();
+            fc.fleetThreads = threads;
+            FleetSim fleet(fc, workload::WorkloadProfile::memcached(),
+                           c.qps);
+            const sim::Tick duration = sim::fromSec(c.seconds);
+            return fleet.run(duration, duration / 10);
+        };
+        const auto serial = once(1);
+        ASSERT_GT(serial.routed, 3 * EstimateStream::kChunk);
+        ASSERT_NE(serial.routed % EstimateStream::kChunk, 0u);
+        for (const unsigned threads : {1u, 2u, 8u}) {
+            SCOPED_TRACE("fleetThreads=" + std::to_string(threads));
+            const auto r = threads == 1 ? serial : once(threads);
+            expectSameRun(serial, r);
+            EXPECT_EQ(r.avgLatencyUs, c.avgUs)
+                << "avg " << hexfloat(r.avgLatencyUs);
+            EXPECT_EQ(r.p99LatencyUs, c.p99Us)
+                << "p99 " << hexfloat(r.p99LatencyUs);
+            EXPECT_EQ(r.p999LatencyUs, c.p999Us)
+                << "p99.9 " << hexfloat(r.p999LatencyUs);
+        }
+    }
+}
 
 // ----------------------------------------------------- validation
 
