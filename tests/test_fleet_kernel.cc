@@ -427,6 +427,60 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(info.param.name);
     });
 
+// ------------------------------------------- idle promotion into C6
+
+/**
+ * OS-tick idle promotion runs the deeper state's entry flow on a core
+ * that is already idle. Promotion into C6 flushes the private caches
+ * *before* it reads the C6 entry latency, so it pays only the tag
+ * scan, while a governor-picked or forced C6 entry reads the latency
+ * (dirty write-backs included) first. Pack-first under a flash crowd
+ * leaves spare cores idle past the promotion tick, so these fleets
+ * promote; their power moves if the two steps trade places, which
+ * the FleetLatencyBits fleets (no long idle) cannot see.
+ */
+FleetConfig
+promotingFleet(const char *config)
+{
+    auto fc = kernelFleet("pack-first", 4);
+    fc.server = exp::configByName(config);
+    fc.server.cores = 4;
+    fc.server.idlePromotion = true;
+    fc.seed = 7;
+    fc.schedule =
+        cluster::RateSchedule::flashCrowd(sim::fromSec(0.2), 3.0);
+    return fc;
+}
+
+TEST(FleetKernel, IdlePromotionEntryFlowIsBitExact)
+{
+    struct Pinned
+    {
+        const char *config;
+        double avgUs;
+        double p99Us;
+        double watts;
+    };
+    const Pinned cases[] = {
+        {"c1c6", 0x1.1eef411f35bc6p+3, 0x1.46961b2a27f1bp+5,
+         0x1.434c837d491d4p+6},
+        {"aw", 0x1.5c16864a91dcap+3, 0x1.34b94c87980f5p+5,
+         0x1.333d3a1445e1ep+6},
+    };
+    for (const Pinned &c : cases) {
+        FleetSim fleet(promotingFleet(c.config),
+                       workload::WorkloadProfile::memcached(), 20e3);
+        const sim::Tick duration = sim::fromSec(0.2);
+        const auto r = fleet.run(duration, duration / 10);
+        EXPECT_EQ(r.avgLatencyUs, c.avgUs)
+            << c.config << " avg " << hexfloat(r.avgLatencyUs);
+        EXPECT_EQ(r.p99LatencyUs, c.p99Us)
+            << c.config << " p99 " << hexfloat(r.p99LatencyUs);
+        EXPECT_EQ(r.fleetPower, c.watts)
+            << c.config << " power " << hexfloat(r.fleetPower);
+    }
+}
+
 // ----------------------------------------- estimate chunk boundaries
 
 /**

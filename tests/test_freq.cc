@@ -47,6 +47,19 @@ TEST(PStateLadder, SpansPnToBaseWithAnchoredPowers)
     EXPECT_DOUBLE_EQ(ladder.activePower(0), cstate::kC0PowerPn);
 }
 
+TEST(PStateLadder, EndpointsAreTheStaticPointExactly)
+{
+    // CoreSim runs an ungoverned core at level 0 (runAtPn) or the
+    // top level, so these must be the table's points to the bit.
+    const server::PStateTable table =
+        server::PStateTable::xeonSilver4114();
+    const PStateLadder ladder(table);
+    EXPECT_EQ(ladder.frequency(0).hz(), table.minimum.hz());
+    EXPECT_EQ(ladder.frequency(ladder.top()).hz(), table.base.hz());
+    EXPECT_EQ(ladder.activePower(0), cstate::kC0PowerPn);
+    EXPECT_EQ(ladder.activePower(ladder.top()), cstate::kC0PowerP1);
+}
+
 TEST(PStateLadder, DegenerateTableCollapsesToOneLevel)
 {
     server::PStateTable table;
