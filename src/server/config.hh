@@ -100,10 +100,10 @@ struct ServerConfig
 
     /** Frequency-governance policy spec (freq::FreqRegistry):
      *  "performance", "powersave", "ondemand", "conservative" or
-     *  "racetohalt". Empty (the default) keeps the legacy static
-     *  operating point (base, or Pn under runAtPn) with zero DVFS
-     *  machinery on the hot path. Like `governor`, each core clones
-     *  its own instance from one validated prototype. */
+     *  "racetohalt". Empty (the default) pins each core at one
+     *  ladder level -- base, or Pn under runAtPn -- that only the
+     *  power-cap controller moves. Like `governor`, each core
+     *  clones its own instance from one validated prototype. */
     std::string freqPolicy;
 
     /** PM-QoS-style per-request latency SLO in microseconds

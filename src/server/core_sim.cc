@@ -1,5 +1,7 @@
 #include "server/core_sim.hh"
 
+#include <algorithm>
+
 #include "freq/qos.hh"
 #include "sim/logging.hh"
 
@@ -22,110 +24,83 @@ StatePowers::fromModels(const core::AwPpaModel &ppa)
     return p;
 }
 
+CoreTables::CoreTables(const ServerConfig &cfg,
+                       const freq::PStateLadder &ladder,
+                       const core::AwCoreModel &aw,
+                       const workload::WorkloadProfile &profile)
+    : powers(StatePowers::fromModels(aw.ppa())),
+      deepestEnabled(cfg.cstates.deepestEnabled()),
+      minLevel(freq::LatencyQoS{cfg.sloUs}.frequencyFloor(
+          ladder, profile.service()))
+{
+    for (std::size_t i = 0; i < cstate::kNumCStates; ++i) {
+        const auto &desc = cstate::descriptor(static_cast<CStateId>(i));
+        isAw[i] = desc.isAgileWatts;
+        depth[i] = desc.depth;
+    }
+    const double scale = profile.activePowerScale();
+    boostPower = powers.activeBoost * scale;
+
+    // Latencies come from a core's freshly built caches and context:
+    // C6 entry re-reads the live cache dirty fraction at entry time,
+    // so each level caches the flush-independent remainder (context
+    // save, PG controller, software path) and the constant exit.
+    const uarch::PrivateCaches caches =
+        uarch::PrivateCaches::skylakeServer();
+    const uarch::CoreContext context;
+    const cstate::TransitionEngine transitions(
+        caches, context, aw.controller().awLatencies());
+    const double degrade = cfg.cstates.usesAgileWatts()
+                               ? 1.0 - core::Ufpg::kFrequencyDegradation
+                               : 1.0;
+    levels.resize(ladder.count());
+    for (std::size_t l = 0; l < ladder.count(); ++l) {
+        Level &t = levels[l];
+        t.effFreq = sim::Frequency(ladder.frequency(l).hz() * degrade);
+        for (std::size_t i = 0; i < cstate::kNumCStates; ++i) {
+            const auto id_i = static_cast<CStateId>(i);
+            if (id_i != CStateId::C6)
+                t.lat[i] = transitions.latency(id_i, t.effFreq);
+        }
+        t.latC6Fixed = transitions.latency(CStateId::C6, t.effFreq);
+        t.latC6Fixed.entry -= caches.flushTime(t.effFreq);
+        t.activeUnscaled = ladder.activePower(l);
+        t.activePower = t.activeUnscaled * scale;
+    }
+}
+
 CoreSim::CoreSim(sim::Simulator &simr, const ServerConfig &cfg,
+                 const CoreTables &tables,
                  const cstate::GovernorPolicy &governor,
                  const freq::FreqPolicy *freq_proto,
                  const core::AwCoreModel &aw,
                  const workload::WorkloadProfile &profile,
                  double per_core_rate, unsigned id,
                  CompletionHook on_complete)
-    : _sim(simr), _cfg(cfg), _aw(aw), _profile(profile),
-      _onComplete(std::move(on_complete)),
+    : _sim(simr), _cfg(cfg), _tables(tables), _aw(aw),
+      _profile(profile), _onComplete(std::move(on_complete)),
       _caches(uarch::PrivateCaches::skylakeServer()),
-      _context(),
-      _transitions(_caches, _context, aw.controller().awLatencies()),
       _governor(governor.clone()),
       _residency(simr.now()),
       _turbo(cfg.turboParams, cfg.turboEnabled),
       _snoops(cfg.snoopRatePerSec, cfg.snoopHitFraction,
               cfg.seed + 7919 * (id + 1)),
-      _powers(StatePowers::fromModels(aw.ppa())),
       _arrivals(per_core_rate > 0.0
                     ? profile.makeArrivals(per_core_rate)
                     : nullptr),
       _rng(cfg.seed + id), _id(id)
 {
-    // ---- hot-loop tables: everything constant at the fixed
-    // operating point is derived once, here, instead of per event.
-    {
-        double f = _cfg.runAtPn ? _cfg.pstates.minimum.hz()
-                                : _cfg.pstates.base.hz();
-        if (_cfg.cstates.usesAgileWatts())
-            f *= 1.0 - core::Ufpg::kFrequencyDegradation;
-        _effFreq = sim::Frequency(f);
-    }
-    for (std::size_t i = 0; i < cstate::kNumCStates; ++i) {
-        const auto id_i = static_cast<CStateId>(i);
-        const auto &desc = cstate::descriptor(id_i);
-        _isAw[i] = desc.isAgileWatts;
-        _depth[i] = desc.depth;
-        if (id_i != CStateId::C6)
-            _lat[i] = _transitions.latency(id_i, _effFreq);
-    }
-    // C6 entry re-reads the live cache dirty fraction at entry time;
-    // cache the flush-independent remainder (context save, PG
-    // controller, software path) and the constant exit.
-    _latC6Fixed = _transitions.latency(CStateId::C6, _effFreq);
-    _latC6Fixed.entry -= _caches.flushTime(_effFreq);
-    const double scale = _profile.activePowerScale();
-    _activePower =
-        (_cfg.runAtPn ? _powers.activePn : _powers.activeP1) * scale;
-    _boostPower = _powers.activeBoost * scale;
-    _deepestEnabled = _cfg.cstates.deepestEnabled();
-
-    if (freq_proto || _cfg.cap.enabled()) {
-        // ---- DVFS governance and/or cap enforcement: one table
-        // per ladder level, derived exactly like the static point
-        // above (AW degradation and the C6 flush split included),
-        // so pinning the top level reproduces the legacy tables
-        // bit-for-bit. The policy subsumes runAtPn -- level 0 IS
-        // the Pn point. A power cap without a frequency governor
-        // builds the same tables: the cap controller clamps the
-        // operating point down this ladder before it resorts to
-        // forced idle.
-        if (freq_proto)
-            _freqPolicy = freq_proto->clone();
-        const freq::PStateLadder ladder(_cfg.pstates);
-        const double degrade =
-            _cfg.cstates.usesAgileWatts()
-                ? 1.0 - core::Ufpg::kFrequencyDegradation
-                : 1.0;
-        _levels.resize(ladder.count());
-        for (std::size_t l = 0; l < ladder.count(); ++l) {
-            LevelTables &t = _levels[l];
-            t.effFreq =
-                sim::Frequency(ladder.frequency(l).hz() * degrade);
-            for (std::size_t i = 0; i < cstate::kNumCStates; ++i) {
-                const auto id_i = static_cast<CStateId>(i);
-                if (id_i != CStateId::C6)
-                    t.lat[i] = _transitions.latency(id_i, t.effFreq);
-            }
-            t.latC6Fixed =
-                _transitions.latency(CStateId::C6, t.effFreq);
-            t.latC6Fixed.entry -= _caches.flushTime(t.effFreq);
-            t.activeUnscaled = ladder.activePower(l);
-            t.activePower = t.activeUnscaled * scale;
-        }
-        if (_cfg.sloUs > 0.0) {
-            _minLevel = freq::LatencyQoS{_cfg.sloUs}.frequencyFloor(
-                ladder, _profile.service());
-        }
-        _curLevel = _freqPolicy
-                        ? _freqPolicy->select(0, 0.0)
-                        : (_cfg.runAtPn ? 0 : ladder.top());
-        if (_curLevel < _minLevel)
-            _curLevel = _minLevel;
-        if (_curLevel > ladder.top())
-            _curLevel = ladder.top();
-        _pendingLevel = _curLevel;
-        _wantLevel = _curLevel;
-        const LevelTables &t0 = _levels[_curLevel];
-        _effFreq = t0.effFreq;
-        _lat = t0.lat;
-        _latC6Fixed = t0.latC6Fixed;
-        _activePower = t0.activePower;
-        _turbo.setSustainedPower(_sim.now(), t0.activeUnscaled);
-    }
+    // The initial operating point: the policy's pick, else Pn under
+    // runAtPn and P1 otherwise, raised to the LatencyQoS floor.
+    if (freq_proto)
+        _freqPolicy = freq_proto->clone();
+    const std::size_t top = _tables.levels.size() - 1;
+    std::size_t level = _freqPolicy ? _freqPolicy->select(0, 0.0)
+                                    : (_cfg.runAtPn ? 0 : top);
+    level = std::min(std::max(level, _tables.minLevel), top);
+    _curLevel = _pendingLevel = _wantLevel = level;
+    _op = _tables.levels[level];
+    _turbo.setSustainedPower(_sim.now(), _op.activeUnscaled);
 
     if (_governor->needsOracle()) {
         // Clairvoyance only exists where this core generates its
@@ -150,14 +125,14 @@ CoreSim::CoreSim(sim::Simulator &simr, const ServerConfig &cfg,
         // state's resident power. This is what the simulator itself
         // will charge, so the oracle's choice is truly the cheapest.
         _governor->setCostModel([this](CStateId s, sim::Tick idle) {
-            const double active = _activePower;
+            const double active = _op.activePower;
             if (s == CStateId::C0) // polling: active power throughout
                 return active * sim::toSec(idle);
             const auto lat = latencyOf(s);
             const sim::Tick resident =
                 idle > lat.entry ? idle - lat.entry : 0;
             return active * sim::toSec(lat.entry + lat.exit) +
-                   _powers.idle[cstate::index(s)] *
+                   _tables.powers.idle[cstate::index(s)] *
                        sim::toSec(resident);
         });
     }
@@ -221,9 +196,9 @@ CoreSim::requestLevel(std::size_t level)
     // request (re-issued when the cap ceiling moves), raise it to
     // the QoS floor, then let the cap ceiling override both.
     _wantLevel = level;
-    if (level < _minLevel)
-        level = _minLevel;
-    std::size_t top = _levels.size() - 1;
+    if (level < _tables.minLevel)
+        level = _tables.minLevel;
+    std::size_t top = _tables.levels.size() - 1;
     if (_capLevel < top)
         top = _capLevel;
     if (level > top)
@@ -253,18 +228,14 @@ void
 CoreSim::applyLevel(std::size_t level)
 {
     _curLevel = level;
-    const LevelTables &t = _levels[level];
-    _effFreq = t.effFreq;
-    _lat = t.lat;
-    _latC6Fixed = t.latC6Fixed;
-    _activePower = t.activePower;
+    _op = _tables.levels[level];
     ++_freqTransitions;
     _freqRampEnergy += freq::kRampEnergy;
     // In-flight service keeps the rate it started at; the power
     // level and the turbo sustain anchor move with the new point.
-    _turbo.setSustainedPower(_sim.now(), t.activeUnscaled);
+    _turbo.setSustainedPower(_sim.now(), _op.activeUnscaled);
     if (_observer)
-        _observer->onFreqChange(_id, _sim.now(), _effFreq.hz());
+        _observer->onFreqChange(_id, _sim.now(), _op.effFreq.hz());
     updatePower();
 }
 
@@ -278,8 +249,7 @@ CoreSim::setCapState(std::size_t level_cap, sim::Tick nap_len,
     // Re-clamp the operating point against the new ceiling (or let
     // it recover toward the last unclamped request). An in-flight
     // nap completes on its own schedule.
-    if (!_levels.empty())
-        requestLevel(_wantLevel);
+    requestLevel(_wantLevel);
 }
 
 std::uint64_t
@@ -318,34 +288,35 @@ CoreSim::onArrival(workload::Request req)
         // Will be drained when the current activity finishes.
         break;
       case Mode::EnteringIdle:
+      case Mode::Idle:
         // A forced nap must run its course: arrivals queue behind
         // it (that queueing -- plus the wake at nap end -- is the
-        // throttle's latency cost).
-        if (_napping)
+        // throttle's latency cost). A pending wake already covers
+        // this arrival.
+        if (_napping || _wakePending)
             break;
-        // Hardware must complete the entry flow first; wake right
-        // after. This is the misprediction penalty.
-        if (!_wakePending) {
-            _wakePending = true;
+        // Mid-entry, hardware must complete the entry flow first and
+        // wake right after. This is the misprediction penalty.
+        if (_mode == Mode::EnteringIdle)
             ++_mispredictedEntries;
-            noteIdleObserved(_sim.now() - _idleStart);
-            // The wake stall starts now: the entry-flow remainder
-            // (C6's cache flush included) plus the exit flow all
-            // stand between this arrival and service.
-            if (_observer)
-                _observer->onWakeStart(_id, _sim.now(), _idleState);
-        }
-        break;
-      case Mode::Idle:
-        if (_napping)
-            break; // see above: the nap end wakes the core
-        noteIdleObserved(_sim.now() - _idleStart);
-        // C0 polling wakes instantly: no episode to publish.
-        if (_observer && _idleState != CStateId::C0)
-            _observer->onWakeStart(_id, _sim.now(), _idleState);
-        beginWake();
+        endIdle();
         break;
     }
+}
+
+void
+CoreSim::endIdle()
+{
+    noteIdleObserved(_sim.now() - _idleStart);
+    // The wake stall starts now: any entry-flow remainder (C6's cache
+    // flush included) plus the exit flow stand between the work and
+    // service. C0 polling wakes instantly: no episode to publish.
+    if (_observer && _idleState != CStateId::C0)
+        _observer->onWakeStart(_id, _sim.now(), _idleState);
+    if (_mode == Mode::Idle)
+        beginWake();
+    else
+        _wakePending = true;
 }
 
 void
@@ -375,16 +346,13 @@ CoreSim::beginService()
     // targeting the top ladder level (intel_pstate-style: turbo only
     // engages above a max-performance request), with the sustain
     // anchor tracking the applied level.
-    sim::Frequency freq = _effFreq;
+    sim::Frequency freq = _op.effFreq;
     const sim::Tick dur_boost = req.demand.duration(
         _cfg.pstates.turbo);
     _boosting = false;
-    // With ladder tables (governor or cap) boost requires targeting
-    // the top level, so a cap clamp also suppresses turbo; the
-    // legacy static path keeps the runAtPn rule.
-    const bool boost_ok =
-        !_levels.empty() ? targetLevel() + 1 == _levels.size()
-                         : !_cfg.runAtPn;
+    // Boost requires targeting the top level, so a runAtPn pin or a
+    // cap clamp also suppresses turbo.
+    const bool boost_ok = targetLevel() + 1 == _tables.levels.size();
     if (_turbo.enabled() && boost_ok &&
         _turbo.canBoost(_sim.now(), dur_boost)) {
         _turbo.commitBoost(_sim.now(), dur_boost);
@@ -416,10 +384,17 @@ CoreSim::beginIdle()
 {
     noteBusy(false);
     _idleStart = _sim.now();
-    _idleState = _governor->select(_sim.now());
+    const CStateId state = _governor->select(_sim.now());
     if (_observer)
         _observer->onIdleStart(_id, _sim.now());
-    if (_idleState == CStateId::C0) {
+    enterIdle(state);
+}
+
+void
+CoreSim::enterIdle(CStateId state)
+{
+    _idleState = state;
+    if (state == CStateId::C0) {
         // No idle state enabled: poll in C0. Stay "Idle" at active
         // power with zero-latency wake.
         _mode = Mode::Idle;
@@ -430,8 +405,8 @@ CoreSim::beginIdle()
     _mode = Mode::EnteringIdle;
     _wakePending = false;
     updatePower();
-    const sim::Tick entry = latencyOf(_idleState).entry;
-    if (_idleState == CStateId::C6) {
+    const sim::Tick entry = latencyOf(state).entry;
+    if (state == CStateId::C6) {
         // Entering C6 flushes the private caches.
         _caches.flush();
     }
@@ -462,7 +437,7 @@ CoreSim::maybeSchedulePromotion()
     if (!_governor->canPromote())
         return;
     // Already as deep as the platform allows: nothing to promote to.
-    if (_idleState == _deepestEnabled)
+    if (_idleState == _tables.deepestEnabled)
         return;
     // Batched check: the first tick multiple (measured from now,
     // like the per-tick chain this replaces) at which the elapsed
@@ -496,8 +471,8 @@ CoreSim::onPromotionTick(sim::Tick idle_start)
         return; // the core woke since; this tick is stale
     const sim::Tick elapsed = _sim.now() - _idleStart;
     const CStateId target = _governor->reselect(_sim.now(), elapsed);
-    if (_depth[cstate::index(target)] <=
-        _depth[cstate::index(_idleState)]) {
+    if (_tables.depth[cstate::index(target)] <=
+        _tables.depth[cstate::index(_idleState)]) {
         // Not yet past the next state's target residency; keep
         // ticking (the observed idle only grows).
         maybeSchedulePromotion();
@@ -508,15 +483,16 @@ CoreSim::onPromotionTick(sim::Tick idle_start)
     // governor's eventual observation covers the whole gap. Like
     // the other transition windows, the entry flow is accounted as
     // C0 residency at active power.
-    _mode = Mode::EnteringIdle;
-    _wakePending = false;
-    _idleState = target;
     noteStateEnter(CStateId::C0);
-    updatePower();
-    if (_idleState == CStateId::C6)
+    // Unlike the other entries, promotion flushes *before* the C6
+    // entry latency is read, so it pays only the tag scan, not the
+    // dirty-line write-backs: a known fault that flatters legacy C6
+    // (ROADMAP item 9), pinned by hostbench/reference.json and
+    // FleetKernel.IdlePromotionEntryFlowIsBitExact. enterIdle's own
+    // flush is then a no-op.
+    if (target == CStateId::C6)
         _caches.flush();
-    const sim::Tick entry = latencyOf(_idleState).entry;
-    _sim.scheduleIn(entry, [this]() { onIdleEntered(); });
+    enterIdle(target);
 }
 
 void
@@ -570,9 +546,12 @@ CoreSim::beginForcedNap()
     // flow, and holds the core down for _napLen measured from the
     // nap start. The governor still observes the resulting idle
     // period at the end, like any other.
+    //
+    // With no idle state enabled the nap polls in C0: it stalls
+    // service at active power (all cost, no savings -- exactly what
+    // forcing idle on such a config deserves).
     noteBusy(false);
     _idleStart = _sim.now();
-    _idleState = _deepestEnabled;
     _napping = true;
     ++_forcedNaps;
     if (_observer)
@@ -580,22 +559,7 @@ CoreSim::beginForcedNap()
     _sim.scheduleIn(_napLen, [this, stamp = _idleStart]() {
         onNapEnd(stamp);
     });
-    if (_idleState == CStateId::C0) {
-        // No idle state enabled: the nap stalls service while
-        // polling at active power (all cost, no savings -- exactly
-        // what forcing idle on such a config deserves).
-        _mode = Mode::Idle;
-        noteStateEnter(CStateId::C0);
-        updatePower();
-        return;
-    }
-    _mode = Mode::EnteringIdle;
-    _wakePending = false;
-    updatePower();
-    const sim::Tick entry = latencyOf(_idleState).entry;
-    if (_idleState == CStateId::C6)
-        _caches.flush();
-    _sim.scheduleIn(entry, [this]() { onIdleEntered(); });
+    enterIdle(_tables.deepestEnabled);
 }
 
 void
@@ -611,29 +575,16 @@ CoreSim::onNapEnd(sim::Tick stamp)
     _nextNapAt = _sim.now() + (_napPeriod > _napLen
                                    ? _napPeriod - _napLen
                                    : _napPeriod);
-    if (_mode == Mode::EnteringIdle) {
-        // Nap shorter than the entry flow: fall back to the
-        // misprediction path -- finish entering, wake right after.
-        if (!_queue.empty() && !_wakePending) {
-            _wakePending = true;
-            noteIdleObserved(_sim.now() - _idleStart);
-            if (_observer)
-                _observer->onWakeStart(_id, _sim.now(), _idleState);
-        }
-        return;
-    }
-    if (_mode != Mode::Idle)
-        return;
-    if (_queue.empty()) {
+    if (!_queue.empty()) {
+        // Work queued behind the nap. A nap shorter than the entry
+        // flow falls back to the misprediction path: finish
+        // entering, wake right after.
+        endIdle();
+    } else if (_mode == Mode::Idle) {
         // Nothing queued up behind the nap: the period simply
         // continues as a normal governor-owned idle period.
         maybeSchedulePromotion();
-        return;
     }
-    noteIdleObserved(_sim.now() - _idleStart);
-    if (_observer && _idleState != CStateId::C0)
-        _observer->onWakeStart(_id, _sim.now(), _idleState);
-    beginWake();
 }
 
 void
@@ -660,8 +611,8 @@ CoreSim::onSnoop()
         return;
 
     const bool hit = _snoops.drawHit();
-    sim::Tick window = _caches.snoopServiceTime(_effFreq, hit);
-    if (_isAw[cstate::index(_idleState)]) {
+    sim::Tick window = _caches.snoopServiceTime(_op.effFreq, hit);
+    if (_tables.isAw[cstate::index(_idleState)]) {
         window += _aw.controller().snoopWakeLatency() +
                   _aw.controller().snoopResleepLatency();
     }
@@ -677,28 +628,29 @@ power::Watts
 CoreSim::currentPower() const
 {
     // Workload-specific dynamic power skew is folded into the
-    // precomputed _activePower/_boostPower scalars: the analytical
-    // model only knows the nominal Table 1 constant (Sec 6.3).
+    // precomputed active/boost power scalars: the analytical model
+    // only knows the nominal Table 1 constant (Sec 6.3).
+    const power::Watts active = _op.activePower;
     switch (_mode) {
       case Mode::Active:
-        return _boosting ? _boostPower : _activePower;
+        return _boosting ? _tables.boostPower : active;
       case Mode::EnteringIdle:
       case Mode::ExitingIdle:
         // Transition flows run parts of the core at active power.
-        return _activePower;
+        return active;
       case Mode::Idle: {
-        power::Watts p = _powers.idle[cstate::index(_idleState)];
+        power::Watts p = _tables.powers.idle[cstate::index(_idleState)];
         if (_idleState == CStateId::C0)
-            p = _activePower; // polling
+            p = active; // polling
         if (_sim.now() < _snoopBusyUntil) {
-            p += _isAw[cstate::index(_idleState)]
+            p += _tables.isAw[cstate::index(_idleState)]
                      ? core::Ccsm::kSnoopServiceDeltaC6a
                      : core::Ccsm::kSnoopServiceDeltaC1;
         }
         return p;
       }
     }
-    return _activePower;
+    return active;
 }
 
 void
@@ -753,11 +705,11 @@ CoreSim::resetStats()
     _forcedNapsAtReset = _forcedNaps;
     _freqTransitionsAtReset = _freqTransitions;
     _rampEnergyAtReset = _freqRampEnergy;
-    // Re-announce the operating point (static path included) so
-    // interval samplers can integrate mean frequency from the
-    // window's start without waiting for the first ramp.
+    // Re-announce the operating point so interval samplers can
+    // integrate mean frequency from the window's start without
+    // waiting for the first ramp.
     if (_observer)
-        _observer->onFreqChange(_id, _sim.now(), _effFreq.hz());
+        _observer->onFreqChange(_id, _sim.now(), _op.effFreq.hz());
 }
 
 } // namespace aw::server

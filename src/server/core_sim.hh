@@ -15,12 +15,13 @@
  * (the misprediction cost that makes deep states dangerous for
  * irregular traffic -- and that AgileWatts makes nearly free).
  *
- * The per-event inner loop is de-virtualized: the core's operating
+ * The per-event inner loop is de-virtualized: the operating
  * frequency, per-state transition latencies (C6 entry's dynamic
- * cache-flush component excepted), per-state resident powers and the
- * per-state descriptor attributes it consults per idle period are
- * all precomputed into flat tables at construction, so steady-state
- * events never re-derive them through the model layers.
+ * cache-flush component excepted) and active power of every P-state
+ * ladder level, the per-state resident powers and the per-state
+ * descriptor attributes it consults per idle period are precomputed
+ * once per server into flat CoreTables that its cores share, so
+ * steady-state events never re-derive them through the model layers.
  */
 
 #ifndef AW_SERVER_CORE_SIM_HH
@@ -55,11 +56,43 @@ struct StatePowers
 {
     std::array<power::Watts, cstate::kNumCStates> idle{};
     power::Watts activeP1 = 4.0;
-    power::Watts activePn = 1.0;
     power::Watts activeBoost = 7.0;
 
     /** Build from descriptors + the live PPA model. */
     static StatePowers fromModels(const core::AwPpaModel &ppa);
+};
+
+/**
+ * The hot-loop constants of one server's cores, built once per server
+ * and shared by const reference (every core of a server runs the same
+ * config, model and profile). A core's operating point is always one
+ * ladder level: an ungoverned core sits at level 0 (runAtPn) or the
+ * top, which are the PStateTable's Pn and P1 points bit for bit.
+ */
+struct CoreTables
+{
+    /** One ladder level's operating point. */
+    struct Level
+    {
+        sim::Frequency effFreq; //!< AW's ~1% gate IR-drop applied
+        /** Per-state latencies; C6 reads latC6Fixed instead. */
+        std::array<cstate::TransitionLatency, cstate::kNumCStates> lat{};
+        cstate::TransitionLatency latC6Fixed; //!< C6 minus live flush
+        power::Watts activePower = 0.0;    //!< profile-scaled
+        power::Watts activeUnscaled = 0.0; //!< turbo sustain anchor
+    };
+
+    CoreTables(const ServerConfig &cfg, const freq::PStateLadder &ladder,
+               const core::AwCoreModel &aw,
+               const workload::WorkloadProfile &profile);
+
+    std::vector<Level> levels; //!< indexed by ladder level
+    StatePowers powers;
+    power::Watts boostPower = 0.0; //!< profile-scaled turbo draw
+    std::array<bool, cstate::kNumCStates> isAw{};
+    std::array<int, cstate::kNumCStates> depth{};
+    cstate::CStateId deepestEnabled = cstate::CStateId::C0;
+    std::size_t minLevel = 0; //!< LatencyQoS frequency floor
 };
 
 /** Completion callback: (request, end_to_end_extra). */
@@ -84,11 +117,13 @@ class CoreSim
     /**
      * @param simr          the shared simulator
      * @param cfg           server configuration
+     * @param tables        the server's shared hot-loop tables
      * @param governor      idle-governance prototype; the core
      *                      clone()s its own private instance
      * @param freq_proto    frequency-governance prototype (also
-     *                      cloned per core); nullptr keeps the
-     *                      legacy static operating point
+     *                      cloned per core); nullptr pins the
+     *                      operating point (Pn under runAtPn, else
+     *                      P1) unless the cap controller moves it
      * @param aw            shared AW constants (latencies, PPA)
      * @param profile       workload profile
      * @param per_core_rate this core's arrival rate (req/s);
@@ -98,6 +133,7 @@ class CoreSim
      * @param on_complete   invoked at each request completion
      */
     CoreSim(sim::Simulator &simr, const ServerConfig &cfg,
+            const CoreTables &tables,
             const cstate::GovernorPolicy &governor,
             const freq::FreqPolicy *freq_proto,
             const core::AwCoreModel &aw,
@@ -147,9 +183,7 @@ class CoreSim
      * which in turn bounds the governor's request -- and a nap of
      * @p nap_len is injected per @p nap_period of non-nap time at
      * service boundaries (intel_powerclamp-style forced idle in the
-     * deepest enabled state). Requires the cap subsystem enabled at
-     * construction (cfg.cap.enabled()), which builds the ladder
-     * tables even without a frequency governor.
+     * deepest enabled state).
      */
     void setCapState(std::size_t level_cap, sim::Tick nap_len,
                      sim::Tick nap_period);
@@ -181,29 +215,17 @@ class CoreSim
      *  the packing dispatcher ranks sleepers with it per request). */
     int idleStateDepth() const
     {
-        return _depth[cstate::index(_idleState)];
+        return _tables.depth[cstate::index(_idleState)];
     }
 
-    /** This core's private idle-governance instance. */
-    const cstate::GovernorPolicy &governor() const
+    /** Effective base frequency (AW's ~1% gate IR-drop applied) of
+     *  the currently applied ladder level. */
+    sim::Frequency effectiveBaseFrequency() const
     {
-        return *_governor;
+        return _op.effFreq;
     }
 
-    /** Effective base frequency (AW's ~1% gate IR-drop applied).
-     *  Under a frequency governor this is the live operating point
-     *  of the currently applied ladder level. */
-    sim::Frequency effectiveBaseFrequency() const { return _effFreq; }
-
-    /** @{ DVFS governance state (null policy = static path). */
-    const freq::FreqPolicy *freqPolicy() const
-    {
-        return _freqPolicy.get();
-    }
-    std::size_t freqLevel() const { return _curLevel; }
-    std::size_t freqFloorLevel() const { return _minLevel; }
-
-    /** Completed P-state ramps / their fixed energy, both counted
+    /** @{ Completed P-state ramps / their fixed energy, both counted
      *  over the current statistics window. */
     std::uint64_t freqTransitions() const
     {
@@ -222,7 +244,14 @@ class CoreSim
     void beginService();
     void onServiceDone(workload::Request req);
     void beginIdle();
+    /** The one idle-entry flow: poll in C0 or run @p state's entry
+     *  flow (C6 flushes the private caches) into onIdleEntered. */
+    void enterIdle(cstate::CStateId state);
     void onIdleEntered();
+    /** End the idle period at an arrival (or a nap end with work
+     *  queued): feed the governor, publish the wake stall, and wake
+     *  now or, mid-entry, right after the entry flow lands. */
+    void endIdle();
     void beginWake();
     void onWakeDone();
     /** @} */
@@ -255,19 +284,8 @@ class CoreSim
     /** @{ DVFS governance. The policy's chosen level is clamped to
      *  the LatencyQoS floor and lands after freq::kRampLatency; the
      *  old level's tables stay live for the ramp window, and a
-     *  retarget mid-ramp coalesces into the in-flight ramp. All of
-     *  it is bypassed (single null test) on the static path. */
-
-    /** Per-ladder-level precomputed hot-loop tables. */
-    struct LevelTables
-    {
-        sim::Frequency effFreq;
-        std::array<cstate::TransitionLatency, cstate::kNumCStates>
-            lat{};
-        cstate::TransitionLatency latC6Fixed;
-        power::Watts activePower = 0.0;    //!< profile-scaled
-        power::Watts activeUnscaled = 0.0; //!< turbo sustain anchor
-    };
+     *  retarget mid-ramp coalesces into the in-flight ramp. Without
+     *  a policy only the cap controller moves the level. */
 
     /** The level the core is moving toward (or sitting at). */
     std::size_t targetLevel() const
@@ -321,61 +339,49 @@ class CoreSim
     /** Power of the current machine state. */
     power::Watts currentPower() const;
 
-    /** Full transition latency of @p state at the core's fixed
-     *  operating point. All states but C6 come straight from the
-     *  table built at construction; C6 adds the live cache-flush
-     *  cost (its dirty fraction follows workload behaviour) to the
-     *  precomputed fixed entry path. */
+    /** Full transition latency of @p state at the applied operating
+     *  point. All states but C6 come straight from the level's
+     *  table; C6 adds the live cache-flush cost (its dirty fraction
+     *  follows workload behaviour) to the precomputed fixed entry
+     *  path. */
     cstate::TransitionLatency
     latencyOf(cstate::CStateId state) const
     {
         if (state == cstate::CStateId::C6) {
-            cstate::TransitionLatency lat = _latC6Fixed;
-            lat.entry += _caches.flushTime(_effFreq);
+            cstate::TransitionLatency lat = _op.latC6Fixed;
+            lat.entry += _caches.flushTime(_op.effFreq);
             return lat;
         }
-        return _lat[cstate::index(state)];
+        return _op.lat[cstate::index(state)];
     }
 
     sim::Simulator &_sim;
     const ServerConfig &_cfg;
+    const CoreTables &_tables;
     const core::AwCoreModel &_aw;
     const workload::WorkloadProfile &_profile;
     CompletionHook _onComplete;
 
     /** Per-core microarchitectural state. */
     uarch::PrivateCaches _caches;
-    uarch::CoreContext _context;
-    cstate::TransitionEngine _transitions;
     std::unique_ptr<cstate::GovernorPolicy> _governor;
     cstate::ResidencyCounters _residency;
     power::EnergyMeter _meter;
     TurboModel _turbo;
     uarch::SnoopTraffic _snoops;
-    StatePowers _powers;
 
-    /** @{ Constants precomputed at construction for the hot loop. */
-    sim::Frequency _effFreq;
-    std::array<cstate::TransitionLatency, cstate::kNumCStates> _lat{};
-    cstate::TransitionLatency _latC6Fixed; //!< C6 minus live flush
-    std::array<bool, cstate::kNumCStates> _isAw{};
-    std::array<int, cstate::kNumCStates> _depth{};
-    power::Watts _activePower = 0.0; //!< scaled P1-or-Pn active draw
-    power::Watts _boostPower = 0.0;  //!< scaled turbo draw
-    cstate::CStateId _deepestEnabled = cstate::CStateId::C0;
-    /** @} */
-
-    /** @{ DVFS governance (empty on the static path). */
+    /** @{ Operating point: the applied ladder level and a copy of
+     *  its table, so the hot loop reads it in place (null policy =
+     *  pinned unless the cap controller moves it). */
     std::unique_ptr<freq::FreqPolicy> _freqPolicy;
-    std::vector<LevelTables> _levels; //!< one per ladder level
+    CoreTables::Level _op;
     std::size_t _curLevel = 0;
     std::size_t _pendingLevel = 0;
-    std::size_t _minLevel = 0; //!< LatencyQoS frequency floor
     /** Last unclamped level request; re-issued when the cap ceiling
      *  moves so the point recovers once headroom returns. */
     std::size_t _wantLevel = 0;
     /** Cap-controller operating-point ceiling (SIZE_MAX, the
-     *  default, = unclamped; overrides _minLevel). */
+     *  default, = unclamped; overrides the LatencyQoS floor). */
     std::size_t _capLevel = static_cast<std::size_t>(-1);
     bool _rampInFlight = false;
     bool _busyNow = false;

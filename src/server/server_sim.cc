@@ -61,20 +61,19 @@ ServerSim::buildCores(double per_core_rate)
 
     // DVFS / PM-QoS resolution happens before the cores (which hold
     // a reference to _cfg) are constructed. A latency SLO filters
-    // the enabled idle states down to wakes its budget absorbs and,
-    // on the static path, refuses a Pn pin the service budget cannot
-    // carry; the frequency floor for governed cores is derived
-    // per-core from the same LatencyQoS.
+    // the enabled idle states down to wakes its budget absorbs; the
+    // cores' shared tables then carry its frequency floor, and an
+    // ungoverned Pn pin the service budget cannot carry is refused.
     _cfg.pstates.validate();
+    const freq::PStateLadder ladder(_cfg.pstates);
     if (_cfg.sloUs > 0.0) {
-        const freq::LatencyQoS qos{_cfg.sloUs};
-        _cfg.cstates = qos.admissibleStates(_cfg.cstates);
-        if (_cfg.runAtPn && _cfg.freqPolicy.empty()) {
-            const freq::PStateLadder ladder(_cfg.pstates);
-            if (qos.frequencyFloor(ladder, _profile.service()) > 0)
-                _cfg.runAtPn = false;
-        }
+        _cfg.cstates =
+            freq::LatencyQoS{_cfg.sloUs}.admissibleStates(_cfg.cstates);
     }
+    _tables = std::make_unique<const CoreTables>(_cfg, ladder, *_aw,
+                                                 _profile);
+    if (_cfg.runAtPn && _cfg.freqPolicy.empty() && _tables->minLevel > 0)
+        _cfg.runAtPn = false;
 
     // Power cap + thermal coupling: validated here, armed in run().
     // The controller and thermal model exist only when enabled, so
@@ -83,7 +82,7 @@ ServerSim::buildCores(double per_core_rate)
     _cfg.cap.validate();
     if (_cfg.cap.enabled()) {
         _capCtl = std::make_unique<cap::PowerCapController>(
-            _cfg.cap, freq::PStateLadder(_cfg.pstates).count());
+            _cfg.cap, ladder.count());
         _capDecision = _capCtl->decision();
         if (_cfg.cap.thermalEnabled) {
             _thermal = std::make_unique<cap::RcThermalModel>(
@@ -98,8 +97,7 @@ ServerSim::buildCores(double per_core_rate)
         cstate::makeGovernor(_cfg.governor, _cfg.cstates);
     std::unique_ptr<freq::FreqPolicy> freq_proto;
     if (!_cfg.freqPolicy.empty()) {
-        freq_proto = freq::makeFreqPolicy(
-            _cfg.freqPolicy, freq::PStateLadder(_cfg.pstates));
+        freq_proto = freq::makeFreqPolicy(_cfg.freqPolicy, ladder);
     }
 
     _latency.reserve(1 << 16);
@@ -107,7 +105,7 @@ ServerSim::buildCores(double per_core_rate)
     _coreDeep.assign(_cfg.cores, 0);
     for (unsigned i = 0; i < _cfg.cores; ++i) {
         _cores.push_back(std::make_unique<CoreSim>(
-            _sim, _cfg, *governor_proto, freq_proto.get(), *_aw,
+            _sim, _cfg, *_tables, *governor_proto, freq_proto.get(), *_aw,
             _profile, per_core_rate, i,
             [this, i](const workload::Request &req) {
                 const double us = sim::toUs(req.serverLatency());

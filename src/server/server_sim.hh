@@ -66,8 +66,8 @@ struct RunResult
     /** @{ DVFS governance accounting over the measured window: the
      *  number of completed P-state ramps across all cores, the fixed
      *  relock energy they were charged (already inside coreEnergy),
-     *  and the core-time mean operating frequency. All zero /
-     *  the static operating point on the legacy path. */
+     *  and the core-time mean operating frequency. All zero while
+     *  no frequency governor or cap moves the operating point. */
     std::uint64_t freqTransitions = 0;
     power::Joules freqTransitionEnergyJ = 0.0;
     /** @} */
@@ -196,6 +196,8 @@ class ServerSim
 
     sim::Simulator _sim;
     const core::AwCoreModel *_aw = nullptr;
+    /** The cores' shared hot-loop tables (outlive the cores). */
+    std::unique_ptr<const CoreTables> _tables;
     std::vector<std::unique_ptr<CoreSim>> _cores;
     sim::PercentileTracker _latency;
 

@@ -25,7 +25,9 @@ struct CoreHarness
         : cfg(std::move(config)),
           profile(workload::WorkloadProfile::memcached()),
           governor(cstate::makeGovernor(cfg.governor, cfg.cstates)),
-          core(simr, cfg, *governor, /*freq_proto=*/nullptr,
+          tables(cfg, freq::PStateLadder(cfg.pstates), aw_model,
+                 profile),
+          core(simr, cfg, tables, *governor, /*freq_proto=*/nullptr,
                aw_model, profile, per_core_rate, 0,
                [this](const workload::Request &req) {
                    latencies.push_back(toUs(req.serverLatency()));
@@ -38,6 +40,7 @@ struct CoreHarness
     core::AwCoreModel aw_model;
     workload::WorkloadProfile profile;
     std::unique_ptr<cstate::GovernorPolicy> governor;
+    CoreTables tables;
     std::vector<double> latencies;
     CoreSim core;
 };

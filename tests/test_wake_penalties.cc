@@ -39,7 +39,9 @@ struct Harness
     explicit Harness(ServerConfig config)
         : cfg(std::move(config)), profile(probeProfile()),
           governor(cstate::makeGovernor(cfg.governor, cfg.cstates)),
-          core(simr, cfg, *governor, /*freq_proto=*/nullptr,
+          tables(cfg, freq::PStateLadder(cfg.pstates), aw_model,
+                 profile),
+          core(simr, cfg, tables, *governor, /*freq_proto=*/nullptr,
                aw_model, profile, 200.0, 0,
                [this](const workload::Request &req) {
                    latencies.push_back(
@@ -68,6 +70,7 @@ struct Harness
     core::AwCoreModel aw_model;
     workload::WorkloadProfile profile;
     std::unique_ptr<cstate::GovernorPolicy> governor;
+    CoreTables tables;
     std::vector<double> latencies;
     CoreSim core;
 };
