@@ -3,9 +3,9 @@
 
 Usage (from the repository root):
 
-    python3 scripts/check_hostbench_reference.py [--seconds S]
+    python3 scripts/check_hostbench_reference.py
 
-Runs `hostbench/run.py --workload W --seed 42 --seconds S` at full
+Runs `hostbench/run.py --workload W --seed 42 --seconds 1` at full
 size for each workload. On that pinned seed run.py compares every
 grid point's simulated outputs with hostbench/reference.json, so a
 change that moves any simulated byte of the benchmark fails here.
@@ -13,7 +13,6 @@ change that moves any simulated byte of the benchmark fails here.
 Exit status: 0 = every workload reported `"correct": true`, 1 = not.
 """
 
-import argparse
 import json
 import os
 import subprocess
@@ -25,15 +24,12 @@ import run  # noqa: E402  (the benchmark itself)
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--seconds", type=float, default=1.0)
-    args = ap.parse_args()
     failed = []
     for workload in run.WORKLOADS:
         proc = subprocess.run(
             [sys.executable, os.path.join(ROOT, "hostbench", "run.py"),
              "--workload", workload, "--seed", str(run.PINNED_SEED),
-             "--seconds", str(args.seconds)],
+             "--seconds", "1"],
             cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True)
         lines = proc.stdout.strip().splitlines()

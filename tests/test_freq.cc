@@ -307,6 +307,22 @@ TEST(FreqEndToEnd, PowersaveGovernorIsRunAtPn)
     expectIdenticalRuns(runServer(pn), runServer(save));
 }
 
+TEST(FreqEndToEnd, DegenerateTableMakesRunAtPnTheTopLevel)
+{
+    // With Pn == P1 the ladder has one level, which is both the Pn
+    // pin and the top: runAtPn runs the base point, and turbo, which
+    // engages at the top level, engages there too.
+    auto base = server::ServerConfig::baseline();
+    base.pstates.minimum = base.pstates.base;
+    auto pn = base;
+    pn.runAtPn = true;
+    auto no_turbo = base;
+    no_turbo.turboEnabled = false;
+    const auto a = runServer(base, 20e3);
+    expectIdenticalRuns(a, runServer(pn, 20e3));
+    EXPECT_LT(a.avgLatencyUs, runServer(no_turbo, 20e3).avgLatencyUs);
+}
+
 TEST(FreqEndToEnd, RampEnergyConservation)
 {
     // Every completed ramp charges exactly kRampEnergy; the windowed
