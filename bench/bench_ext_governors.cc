@@ -27,9 +27,7 @@
 
 #include "analysis/table.hh"
 #include "exp/runner.hh"
-#include "server/server_sim.hh"
 #include "sim/logging.hh"
-#include "workload/profiles.hh"
 
 namespace {
 
@@ -108,27 +106,6 @@ reproduce()
         lat("c1c6", "static:deepest") / lat("c1c6", "menu"),
         lat("aw_c6a", "static:deepest") / lat("aw_c6a", "menu"));
 }
-
-/** Microbenchmark: full server runs under each governor. */
-void
-BM_GovernorRun(benchmark::State &state,
-               const std::string &governor)
-{
-    const auto profile = workload::WorkloadProfile::memcached();
-    for (auto _ : state) {
-        server::ServerConfig cfg = server::ServerConfig::legacyC1C6();
-        cfg.governor = governor;
-        server::ServerSim srv(cfg, profile, 50e3);
-        benchmark::DoNotOptimize(
-            srv.run(sim::fromMs(50.0), sim::fromMs(5.0)));
-    }
-}
-BENCHMARK_CAPTURE(BM_GovernorRun, menu, std::string("menu"))
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_GovernorRun, teo, std::string("teo"))
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_GovernorRun, oracle, std::string("oracle"))
-    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -80,20 +80,6 @@ reproduce()
                 "the final percent.\n");
 }
 
-void
-BM_PackingDispatchPoint(benchmark::State &state)
-{
-    const auto profile = workload::WorkloadProfile::memcached();
-    for (auto _ : state) {
-        ServerConfig cfg = ServerConfig::ntBaseline();
-        cfg.dispatch = DispatchPolicy::Packing;
-        ServerSim srv(cfg, profile, 100e3);
-        benchmark::DoNotOptimize(
-            srv.run(sim::fromMs(100.0), sim::fromMs(10.0)));
-    }
-}
-BENCHMARK(BM_PackingDispatchPoint)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 AW_BENCH_MAIN(reproduce)

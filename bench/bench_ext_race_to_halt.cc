@@ -70,19 +70,6 @@ reproduce()
                 "attractive again.\n");
 }
 
-void
-BM_RaceConfigPoint(benchmark::State &state)
-{
-    const auto profile = workload::WorkloadProfile::memcached();
-    for (auto _ : state) {
-        ServerSim srv(ServerConfig::ntAwNoC6NoC1e(), profile,
-                      100e3);
-        benchmark::DoNotOptimize(
-            srv.run(sim::fromMs(100.0), sim::fromMs(10.0)));
-    }
-}
-BENCHMARK(BM_RaceConfigPoint)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 AW_BENCH_MAIN(reproduce)

@@ -101,19 +101,6 @@ reproduce()
     std::printf("\npaper: 22-56%% average power reduction\n");
 }
 
-void
-BM_MysqlPoint(benchmark::State &state)
-{
-    const auto profile = workload::WorkloadProfile::mysql();
-    for (auto _ : state) {
-        server::ServerSim srv(server::ServerConfig::legacyC1C6(),
-                              profile, profile.rateLevels()[1]);
-        benchmark::DoNotOptimize(
-            srv.run(sim::fromSec(1.0), sim::fromMs(100.0)));
-    }
-}
-BENCHMARK(BM_MysqlPoint)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 AW_BENCH_MAIN(reproduce)

@@ -145,19 +145,6 @@ reproduce()
                 "117 us network latency dominates.\n");
 }
 
-void
-BM_MemcachedBaselinePoint(benchmark::State &state)
-{
-    const auto profile = workload::WorkloadProfile::memcached();
-    for (auto _ : state) {
-        server::ServerSim srv(server::ServerConfig::baseline(),
-                              profile, 100e3);
-        benchmark::DoNotOptimize(
-            srv.run(sim::fromMs(100.0), sim::fromMs(10.0)));
-    }
-}
-BENCHMARK(BM_MemcachedBaselinePoint)->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 AW_BENCH_MAIN(reproduce)

@@ -17,7 +17,6 @@
 #include "analysis/table.hh"
 #include "cstate/cstate.hh"
 #include "exp/runner.hh"
-#include "server/server_sim.hh"
 #include "workload/profiles.hh"
 
 namespace {
@@ -108,19 +107,6 @@ reproduce()
                 "(no 10 us transitions) but raises power\n(time "
                 "moves to C1 at 1.44 W, ~63%% above C1E).\n");
 }
-
-void
-BM_TunedConfigPoint(benchmark::State &state)
-{
-    const auto profile = workload::WorkloadProfile::memcached();
-    for (auto _ : state) {
-        server::ServerSim srv(server::ServerConfig::ntNoC6(),
-                              profile, 200e3);
-        benchmark::DoNotOptimize(
-            srv.run(sim::fromMs(100.0), sim::fromMs(10.0)));
-    }
-}
-BENCHMARK(BM_TunedConfigPoint)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -67,18 +67,6 @@ reproduce()
                 "convert, hence higher bounds.\n");
 }
 
-void
-BM_IdealSavings(benchmark::State &state)
-{
-    core::AwCoreModel aw_model;
-    const analysis::CStatePowerModel model(
-        server::StatePowers::fromModels(aw_model.ppa()));
-    const auto r = mix(0.25, 0.55, 0.20);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(model.idealDeepStateSavings(r));
-}
-BENCHMARK(BM_IdealSavings);
-
 } // namespace
 
 AW_BENCH_MAIN(reproduce)

@@ -8,7 +8,6 @@
 #include "bench_common.hh"
 
 #include "analysis/table.hh"
-#include "core/aw_core.hh"
 #include "core/ccsm.hh"
 #include "cstate/cstate.hh"
 #include "server/server_sim.hh"
@@ -78,20 +77,6 @@ reproduce()
     std::printf("\nsavings erode with snoop rate but stay large: "
                 "the caches wake only for the probe window.\n");
 }
-
-void
-BM_SnoopServiceWindow(benchmark::State &state)
-{
-    core::AwCoreModel model;
-    const auto freq = sim::Frequency::ghz(2.2);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            model.caches().snoopServiceTime(freq, true));
-        benchmark::DoNotOptimize(
-            model.controller().snoopWakeLatency());
-    }
-}
-BENCHMARK(BM_SnoopServiceWindow);
 
 } // namespace
 

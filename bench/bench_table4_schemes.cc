@@ -78,17 +78,6 @@ reproduce()
                 "AVX-only gates (~10-15 ns).\n");
 }
 
-void
-BM_SchemeRegistry(benchmark::State &state)
-{
-    core::AwCoreModel model;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            core::powerGatingSchemes(model.controller()));
-    }
-}
-BENCHMARK(BM_SchemeRegistry);
-
 } // namespace
 
 AW_BENCH_MAIN(reproduce)

@@ -82,41 +82,6 @@ reproduce()
                     static_cast<double>(c6a_hw.total()));
 }
 
-void
-BM_PmaEntryExitFsm(benchmark::State &state)
-{
-    core::AwCoreModel model;
-    sim::Simulator simr;
-    auto &ctl = model.controller();
-    for (auto _ : state) {
-        ctl.runEntry(simr, nullptr);
-        simr.run();
-        ctl.runExit(simr, nullptr);
-        simr.run();
-        ctl.clearTrace();
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PmaEntryExitFsm);
-
-void
-BM_SnoopFlowFsm(benchmark::State &state)
-{
-    core::AwCoreModel model;
-    sim::Simulator simr;
-    auto &ctl = model.controller();
-    ctl.runEntry(simr, nullptr);
-    simr.run();
-    const sim::Tick serve = sim::fromNs(6.4);
-    for (auto _ : state) {
-        ctl.runSnoop(simr, serve, nullptr);
-        simr.run();
-        ctl.clearTrace();
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SnoopFlowFsm);
-
 } // namespace
 
 AW_BENCH_MAIN(reproduce)

@@ -10,6 +10,12 @@ size for each workload. On that pinned seed run.py compares every
 grid point's simulated outputs with hostbench/reference.json, so a
 change that moves any simulated byte of the benchmark fails here.
 
+Each workload reports `correct`, `WRONG` (run.py's result line says
+`"correct": false`: a simulated output left the reference) or
+`FAILED` (run.py exited non-zero or printed no result line: a build
+or run error, such as a stale `.bench_build/` CMake cache, not a
+reference mismatch).
+
 Exit status: 0 = every workload reported `"correct": true`, 1 = not.
 """
 
@@ -34,15 +40,22 @@ def main():
             text=True)
         lines = proc.stdout.strip().splitlines()
         try:
-            correct = json.loads(lines[-1])["correct"] is True
+            correct = json.loads(lines[-1])["correct"]
         except (IndexError, ValueError, KeyError, TypeError):
-            correct = False
-        print("%s: %s" % (workload, "correct" if correct else "WRONG"))
-        if not correct:
+            correct = None
+        if proc.returncode != 0 or correct is None:
+            verdict = ("FAILED (exit %d): build or run error, not a "
+                       "reference mismatch" % proc.returncode)
+        elif correct is True:
+            verdict = "correct"
+        else:
+            verdict = "WRONG"
+        print("%s: %s" % (workload, verdict))
+        if verdict != "correct":
             sys.stderr.write(proc.stdout + proc.stderr)
             failed.append(workload)
     if failed:
-        print("hostbench reference mismatch: " + ", ".join(failed))
+        print("hostbench reference not confirmed: " + ", ".join(failed))
         return 1
     return 0
 

@@ -3,18 +3,13 @@
 # Regenerate every paper table/figure reproduction from the bench
 # harnesses into results/.
 #
-# Each bench binary prints its reproduction (tables/series) to stdout
-# before running its google-benchmark microbenchmarks; by default we
-# suppress the microbenchmarks (--benchmark_filter that matches
-# nothing) so the sweep stays fast. Set FULL=1 to run them too.
-#
+# Each bench binary prints its reproduction (tables/series) to stdout.
 # The harnesses run JOBS at a time (default: all cores), and the
 # fleet policy sweep runs through awsweep's thread pool, so the
 # whole reproduction scales with the machine.
 #
 # Usage:
-#   scripts/reproduce.sh                 # reproductions only
-#   FULL=1 scripts/reproduce.sh          # + microbenchmarks
+#   scripts/reproduce.sh                 # every reproduction
 #   JOBS=4 scripts/reproduce.sh          # cap the parallelism
 #   BUILD_DIR=out scripts/reproduce.sh   # custom build dir
 set -euo pipefail
@@ -22,16 +17,7 @@ set -euo pipefail
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 BUILD_DIR="${BUILD_DIR:-$ROOT/build}"
 RESULTS_DIR="${RESULTS_DIR:-$ROOT/results}"
-FULL="${FULL:-0}"
 JOBS="${JOBS:-$(nproc)}"
-
-# Microbenchmark timings are only meaningful uncontended: FULL runs
-# are serialized regardless of the JOBS request.
-if [ "$FULL" = "1" ] && [ "$JOBS" != "1" ]; then
-    echo "[reproduce] FULL=1: forcing JOBS=1 for stable" \
-         "microbenchmark timings" >&2
-    JOBS=1
-fi
 
 if [ ! -f "$BUILD_DIR/CMakeCache.txt" ]; then
     cmake -B "$BUILD_DIR" -S "$ROOT" -DAW_BUILD_BENCH=ON
@@ -53,12 +39,6 @@ if [ "${#runnable[@]}" -eq 0 ]; then
     exit 1
 fi
 
-args=()
-if [ "$FULL" != "1" ]; then
-    # A regex no benchmark name matches: reproduction pass only.
-    args+=(--benchmark_filter='$^')
-fi
-
 # Run up to JOBS harnesses concurrently; each writes its own file,
 # and per-pid exit statuses are collected at the end.
 failed=0
@@ -68,7 +48,7 @@ for bench in "${runnable[@]}"; do
     name="$(basename "$bench")"
     out="$RESULTS_DIR/$name.txt"
     echo "[reproduce] $name -> results/$name.txt"
-    "$bench" "${args[@]}" >"$out" 2>&1 &
+    "$bench" >"$out" 2>&1 &
     pids+=($!)
     names+=("$name")
     while [ "$(jobs -rp | wc -l)" -ge "$JOBS" ]; do

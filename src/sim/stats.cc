@@ -7,19 +7,6 @@
 
 namespace aw::sim {
 
-double
-Accumulator::stddev() const
-{
-    return std::sqrt(variance());
-}
-
-double
-Accumulator::cv() const
-{
-    const double m = mean();
-    return m != 0.0 ? stddev() / m : 0.0;
-}
-
 std::size_t
 nearestRankIndex(double p, std::size_t n)
 {
@@ -76,13 +63,6 @@ PercentileTracker::selectPercentiles(
         from = nth;
     }
     return out;
-}
-
-void
-WeightedShares::reset()
-{
-    std::fill(_weights.begin(), _weights.end(), 0.0);
-    _total = 0.0;
 }
 
 } // namespace aw::sim

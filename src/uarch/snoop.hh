@@ -17,13 +17,6 @@
 
 namespace aw::uarch {
 
-/** One coherence probe. */
-struct SnoopRequest
-{
-    sim::Tick arrival = 0;
-    bool hit = false;
-};
-
 /**
  * Poisson snoop source for one core.
  */

@@ -18,59 +18,6 @@ namespace {
 
 using namespace aw::sim;
 
-TEST(Accumulator, BasicMoments)
-{
-    Accumulator acc;
-    for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        acc.add(x);
-    EXPECT_EQ(acc.count(), 8u);
-    EXPECT_DOUBLE_EQ(acc.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(acc.variance(), 4.0);
-    EXPECT_DOUBLE_EQ(acc.stddev(), 2.0);
-    EXPECT_DOUBLE_EQ(acc.min(), 2.0);
-    EXPECT_DOUBLE_EQ(acc.max(), 9.0);
-    EXPECT_DOUBLE_EQ(acc.sum(), 40.0);
-    EXPECT_DOUBLE_EQ(acc.cv(), 0.4);
-}
-
-TEST(Accumulator, EmptyIsZero)
-{
-    Accumulator acc;
-    EXPECT_EQ(acc.count(), 0u);
-    EXPECT_DOUBLE_EQ(acc.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(acc.variance(), 0.0);
-    EXPECT_DOUBLE_EQ(acc.min(), 0.0);
-    EXPECT_DOUBLE_EQ(acc.max(), 0.0);
-}
-
-TEST(Accumulator, SingleSample)
-{
-    Accumulator acc;
-    acc.add(3.5);
-    EXPECT_DOUBLE_EQ(acc.mean(), 3.5);
-    EXPECT_DOUBLE_EQ(acc.variance(), 0.0);
-}
-
-TEST(Accumulator, ResetClears)
-{
-    Accumulator acc;
-    acc.add(10.0);
-    acc.reset();
-    EXPECT_EQ(acc.count(), 0u);
-    acc.add(2.0);
-    EXPECT_DOUBLE_EQ(acc.mean(), 2.0);
-}
-
-TEST(Accumulator, NumericallyStableOnOffsetData)
-{
-    // Welford should keep precision with a large offset.
-    Accumulator acc;
-    const double offset = 1e12;
-    for (const double x : {1.0, 2.0, 3.0})
-        acc.add(offset + x);
-    EXPECT_NEAR(acc.variance(), 2.0 / 3.0, 1e-3);
-}
-
 TEST(Percentile, NearestRankExact)
 {
     PercentileTracker t;
@@ -112,9 +59,9 @@ TEST(Percentile, MeanMatches)
 
 TEST(Percentile, EmptyTrackerIsDefinedAndZero)
 {
-    // Every percentile of an empty tracker is 0.0, matching the
-    // empty Accumulator accessors: aggregation over a window with
-    // no completed requests must not abort.
+    // Every percentile of an empty tracker is 0.0, as is its mean:
+    // aggregation over a window with no completed requests must not
+    // abort.
     PercentileTracker t;
     EXPECT_TRUE(t.empty());
     for (const double p : {0.0, 50.0, 95.0, 99.0, 100.0})
@@ -342,34 +289,6 @@ TEST(PercentileDeathTest, SelectionNeedsAscendingInRangePercentiles)
         t.add(static_cast<double>(i));
     EXPECT_DEATH((void)t.selectPercentiles({99.9, 50.0}), "ascend");
     EXPECT_DEATH((void)t.selectPercentiles({101.0}), "range");
-}
-
-TEST(WeightedShares, SharesSumToOne)
-{
-    WeightedShares ws(3);
-    ws.add(0, 10.0);
-    ws.add(1, 30.0);
-    ws.add(2, 60.0);
-    EXPECT_DOUBLE_EQ(ws.share(0), 0.1);
-    EXPECT_DOUBLE_EQ(ws.share(1), 0.3);
-    EXPECT_DOUBLE_EQ(ws.share(2), 0.6);
-    EXPECT_DOUBLE_EQ(ws.share(0) + ws.share(1) + ws.share(2), 1.0);
-}
-
-TEST(WeightedShares, EmptyIsZero)
-{
-    WeightedShares ws(2);
-    EXPECT_DOUBLE_EQ(ws.share(0), 0.0);
-    EXPECT_DOUBLE_EQ(ws.totalWeight(), 0.0);
-}
-
-TEST(WeightedShares, ResetClears)
-{
-    WeightedShares ws(2);
-    ws.add(0, 5.0);
-    ws.reset();
-    EXPECT_DOUBLE_EQ(ws.totalWeight(), 0.0);
-    EXPECT_DOUBLE_EQ(ws.weight(0), 0.0);
 }
 
 } // namespace
