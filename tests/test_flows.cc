@@ -1,14 +1,18 @@
 /**
  * @file
- * Tests for the event-driven legacy C-state flows (Fig 3): the
- * executed flows must take exactly the TransitionEngine's hardware
- * latencies, phase by phase.
+ * Tests for the legacy C-state hardware flows of Fig 3 as the
+ * TransitionEngine times them: C1 clock gating (Fig 3a), the C6
+ * entry flush/save/gate sequence (Fig 3b) and the C6 exit
+ * wake/restore sequence (Fig 3c), at the paper's reference point
+ * (800 MHz, 50% dirty caches).
  */
 
 #include <gtest/gtest.h>
 
 #include "core/aw_core.hh"
-#include "cstate/flows.hh"
+#include "cstate/transition.hh"
+#include "uarch/cache.hh"
+#include "uarch/context.hh"
 
 namespace {
 
@@ -21,9 +25,7 @@ class FlowTest : public ::testing::Test
   protected:
     FlowTest()
         : caches(uarch::PrivateCaches::skylakeServer()),
-          engine(caches, context,
-                 model.controller().awLatencies()),
-          flows(caches, context, engine)
+          engine(caches, context, model.controller().awLatencies())
     {
         caches.setDirtyFraction(0.5);
     }
@@ -32,120 +34,61 @@ class FlowTest : public ::testing::Test
     uarch::PrivateCaches caches;
     uarch::CoreContext context;
     TransitionEngine engine;
-    LegacyFlowEngine flows;
-    Simulator simr;
     const Frequency freq = Frequency::mhz(800.0);
 };
 
 TEST_F(FlowTest, C1EntryTimingMatchesEngine)
 {
-    bool done = false;
-    flows.runC1Entry(simr, freq, [&] { done = true; });
-    simr.run();
-    ASSERT_TRUE(done);
-    EXPECT_EQ(flows.phase(), LegacyPhase::C1Resident);
-    EXPECT_EQ(simr.now(),
-              engine.hardwareLatency(CStateId::C1, freq).entry);
-    EXPECT_EQ(caches.state(), uarch::CacheDomainState::ClockGated);
+    // Fig 3a: the clock gate takes two core cycles.
+    const auto hw = engine.hardwareLatency(CStateId::C1, freq);
+    EXPECT_EQ(hw.entry, freq.cycles(2));
+    EXPECT_LT(hw.entry, fromNs(10.0));
 }
 
 TEST_F(FlowTest, C1RoundTrip)
 {
-    flows.runC1Entry(simr, freq, nullptr);
-    simr.run();
-    flows.runC1Exit(simr, freq, nullptr);
-    simr.run();
-    EXPECT_EQ(flows.phase(), LegacyPhase::C0);
-    EXPECT_EQ(simr.now(),
-              engine.hardwareLatency(CStateId::C1, freq).total());
-    EXPECT_EQ(caches.state(), uarch::CacheDomainState::Active);
-}
-
-TEST_F(FlowTest, C1SnoopServeReturnsToResidency)
-{
-    flows.runC1Entry(simr, freq, nullptr);
-    simr.run();
-    bool served = false;
-    flows.runC1Snoop(simr, freq, fromNs(10.0),
-                     [&] { served = true; });
-    simr.run();
-    ASSERT_TRUE(served);
-    EXPECT_EQ(flows.phase(), LegacyPhase::C1Resident);
+    // Ungating mirrors gating: two cycles back, four in all.
+    const auto hw = engine.hardwareLatency(CStateId::C1, freq);
+    EXPECT_EQ(hw.exit, freq.cycles(2));
+    EXPECT_EQ(hw.total(), freq.cycles(4));
 }
 
 TEST_F(FlowTest, C6EntryPhaseSequenceAndTiming)
 {
-    bool done = false;
-    flows.runC6Entry(simr, freq, [&] { done = true; });
-    simr.run();
-    ASSERT_TRUE(done);
-    EXPECT_EQ(flows.phase(), LegacyPhase::C6Resident);
+    // Fig 3b: flush the caches, save the context, then the
+    // power-gate controller; each step takes time and together they
+    // are the whole hardware entry, ~87 us at the reference point.
+    const auto b = engine.c6EntryBreakdown(freq);
+    EXPECT_GT(b.flush, 0);
+    EXPECT_GT(b.contextSave, 0);
+    EXPECT_EQ(b.controller, TransitionEngine::kC6PgControllerOverhead);
+    EXPECT_GT(b.flush, b.contextSave);
 
-    // The trace must walk Fig 3b's entry order.
-    const auto &trace = flows.trace();
-    ASSERT_EQ(trace.size(), 4u);
-    EXPECT_EQ(trace[1].phase, LegacyPhase::C6SaveContext);
-    EXPECT_EQ(trace[2].phase, LegacyPhase::C6FlushCaches);
-    EXPECT_EQ(trace[3].phase, LegacyPhase::C6GateAndOff);
-
-    // ~87 us at the paper's reference point: the flush timing must
-    // be captured before the flush zeroes the dirty fraction.
-    EXPECT_NEAR(toUs(simr.now()), 87.0, 1.0);
-    EXPECT_DOUBLE_EQ(caches.dirtyFraction(), 0.0);
-    EXPECT_EQ(caches.state(), uarch::CacheDomainState::Flushed);
+    const auto hw = engine.hardwareLatency(CStateId::C6, freq);
+    EXPECT_EQ(hw.entry, b.total());
+    EXPECT_NEAR(toUs(hw.entry), 87.0, 1.0);
 }
 
 TEST_F(FlowTest, C6ExitTimingMatchesBreakdown)
 {
-    flows.runC6Entry(simr, freq, nullptr);
-    simr.run();
-    const Tick entered = simr.now();
-    flows.runC6Exit(simr, freq, nullptr);
-    simr.run();
-    EXPECT_EQ(flows.phase(), LegacyPhase::C0);
-    EXPECT_NEAR(toUs(simr.now() - entered), 30.0, 3.0);
-    EXPECT_EQ(caches.state(), uarch::CacheDomainState::Active);
+    // Fig 3c: wake, restore, microcode re-init and resume tail are
+    // the whole hardware exit, ~30 us.
+    const auto b = engine.c6ExitBreakdown(freq);
+    const auto hw = engine.hardwareLatency(CStateId::C6, freq);
+    EXPECT_EQ(hw.exit, b.total());
+    EXPECT_EQ(b.hwWake, TransitionEngine::kC6HwWake);
+    EXPECT_EQ(b.resumeTail, TransitionEngine::kC6ResumeTail);
+    EXPECT_NEAR(toUs(hw.exit), 30.0, 3.0);
 }
 
 TEST_F(FlowTest, C6RoundTripIsThreeOrdersSlowerThanC6a)
 {
-    flows.runC6Entry(simr, freq, nullptr);
-    simr.run();
-    flows.runC6Exit(simr, freq, nullptr);
-    simr.run();
-    const double legacy_ns = toNs(simr.now());
-    const double aw_ns =
-        toNs(model.controller().roundTripLatency());
+    // The C6 hardware flows alone, with no software path, take
+    // >900x the C6A PMA round trip.
+    const auto hw = engine.hardwareLatency(CStateId::C6, freq);
+    const double legacy_ns = toNs(hw.total());
+    const double aw_ns = toNs(model.controller().roundTripLatency());
     EXPECT_GT(legacy_ns / aw_ns, 900.0);
-}
-
-TEST_F(FlowTest, WrongPhasePanics)
-{
-    EXPECT_DEATH(flows.runC1Exit(simr, freq, nullptr), "runC1Exit");
-    EXPECT_DEATH(flows.runC6Exit(simr, freq, nullptr), "runC6Exit");
-    flows.runC1Entry(simr, freq, nullptr);
-    simr.run();
-    EXPECT_DEATH(flows.runC6Entry(simr, freq, nullptr),
-                 "runC6Entry");
-}
-
-TEST_F(FlowTest, PhaseNames)
-{
-    EXPECT_STREQ(name(LegacyPhase::C6FlushCaches), "c6.flush");
-    EXPECT_STREQ(name(LegacyPhase::C1Resident), "c1.resident");
-}
-
-TEST_F(FlowTest, RepeatedC1CyclesAreStable)
-{
-    for (int i = 0; i < 20; ++i) {
-        flows.runC1Entry(simr, freq, nullptr);
-        simr.run();
-        flows.runC1Exit(simr, freq, nullptr);
-        simr.run();
-    }
-    EXPECT_EQ(simr.now(),
-              20 * engine.hardwareLatency(CStateId::C1, freq)
-                       .total());
 }
 
 } // namespace

@@ -99,16 +99,6 @@ TEST_F(TransitionTest, NineHundredTimesFasterThanC6)
     const double speedup = static_cast<double>(c6.total()) /
                            static_cast<double>(c6a.total());
     EXPECT_GE(speedup, 900.0);
-
-    // The Fig 3b/3c hardware flows alone (~87 us in, ~30 us out)
-    // still take >900x the C6A PMA round trip.
-    const auto c6_hw =
-        engine.hardwareLatency(CStateId::C6, Frequency::mhz(800.0));
-    EXPECT_NEAR(toUs(c6_hw.entry), 87.0, 1.0);
-    EXPECT_NEAR(toUs(c6_hw.exit), 30.0, 3.0);
-    EXPECT_GT(toNs(c6_hw.total()) /
-                  toNs(model.controller().roundTripLatency()),
-              900.0);
 }
 
 TEST_F(TransitionTest, C6EntryDependsOnDirtyFraction)
@@ -128,12 +118,6 @@ TEST_F(TransitionTest, C1HardwareIsNanoseconds)
     const auto hw =
         engine.hardwareLatency(CStateId::C1, Frequency::ghz(2.2));
     EXPECT_LT(hw.total(), fromNs(10.0));
-
-    // Clock gate and ungate: two core cycles each way.
-    const auto ref = Frequency::mhz(800.0);
-    const auto at_ref = engine.hardwareLatency(CStateId::C1, ref);
-    EXPECT_EQ(at_ref.entry, ref.cycles(2));
-    EXPECT_EQ(at_ref.exit, ref.cycles(2));
 }
 
 TEST_F(TransitionTest, C0HasNoLatency)
