@@ -2,8 +2,8 @@
  * @file
  * One attach path for a server's streaming observers: the interval
  * timeline (sampler.hh), the request trace (trace.hh), both or
- * neither. awsim, the sweep runner and every server of a fleet wire
- * them the same way.
+ * neither. exp::simulate() and every server of a fleet wire them
+ * the same way.
  */
 
 #ifndef AW_ANALYSIS_OBSERVERS_HH

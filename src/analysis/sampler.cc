@@ -1,6 +1,7 @@
 #include "analysis/sampler.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/logging.hh"
 #include "sim/stats.hh"
@@ -296,12 +297,19 @@ TimelineRecorder::onComplete(unsigned core, std::uint64_t id,
 }
 
 const TimelineSeries &
-TimelineRecorder::series() const
+TimelineRecorder::series() const &
 {
     if (!_done)
         sim::fatal("TimelineRecorder: series() before the run "
                    "finished");
     return _series;
+}
+
+TimelineSeries
+TimelineRecorder::series() &&
+{
+    series(); // the finished-run check
+    return std::move(_series);
 }
 
 const TransitionAnalyzer &

@@ -179,7 +179,9 @@ class TimelineRecorder final : public server::TelemetryObserver
     /** @} */
 
     /** The recorded timeline; valid after onMeasurementEnd. */
-    const TimelineSeries &series() const;
+    const TimelineSeries &series() const &;
+    /** The same, moved out of a recorder that is done with it. */
+    TimelineSeries series() &&;
 
     /** Core @p core's transition map (valid after the run). */
     const TransitionAnalyzer &coreTransitions(unsigned core) const;

@@ -1,6 +1,7 @@
 #include "analysis/trace.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/logging.hh"
 #include "sim/stats.hh"
@@ -239,11 +240,18 @@ RequestTracer::onMeasurementEnd(sim::Tick now)
 }
 
 const TraceSeries &
-RequestTracer::series() const
+RequestTracer::series() const &
 {
     if (!_done)
         sim::fatal("RequestTracer: series() before the run ended");
     return _series;
+}
+
+TraceSeries
+RequestTracer::series() &&
+{
+    series(); // the finished-run check
+    return std::move(_series);
 }
 
 // ------------------------------------------------------ mergeTraces

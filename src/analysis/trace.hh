@@ -172,7 +172,9 @@ class RequestTracer final : public server::TelemetryObserver
     /** @} */
 
     /** The recorded trace; valid after onMeasurementEnd. */
-    const TraceSeries &series() const;
+    const TraceSeries &series() const &;
+    /** The same, moved out of a tracer that is done with it. */
+    TraceSeries series() &&;
 
   private:
     /** A request between arrival and completion. */

@@ -369,9 +369,9 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
         telemetry.attach(srv);
         fr.perServer[i] = srv.run(duration, warmup);
         if (telemetry.recorder)
-            timelines[i] = telemetry.recorder->series();
+            timelines[i] = std::move(*telemetry.recorder).series();
         if (telemetry.tracer)
-            traces[i] = telemetry.tracer->series();
+            traces[i] = std::move(*telemetry.tracer).series();
         latencies[i] = srv.takeLatencySamples();
     };
 

@@ -53,8 +53,8 @@ struct FleetConfig
      *  the shallowest state its history-less governor picked, which
      *  is neither what real machines do nor a fair baseline for
      *  consolidation policies whose point is spare-server deep
-     *  idle. awsim's fleet mode and the fleet bench/example enable
-     *  it. */
+     *  idle. exp::simulate() (awsim, awsweep, awperf) and the fleet
+     *  bench/example enable it. */
     server::ServerConfig server = server::ServerConfig::baseline();
 
     /** Routing policy name (see cluster/routing.hh). */

@@ -16,12 +16,6 @@
 
 namespace aw::exp {
 
-namespace {
-
-using Spec = ExperimentSpec;
-using Query = SweepResult::Query;
-using cluster::FleetConfig;
-
 std::vector<std::string>
 splitList(const std::string &arg)
 {
@@ -41,6 +35,12 @@ splitList(const std::string &arg)
     }
     return out;
 }
+
+namespace {
+
+using Spec = ExperimentSpec;
+using Query = SweepResult::Query;
+using cluster::FleetConfig;
 
 /** fatal() unless @p v lies in the axis's numeric range; the message
  *  names @p spec (validate()) or, without one, the flag. */

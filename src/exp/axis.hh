@@ -19,6 +19,7 @@
 #include <string>
 #include <string_view>
 #include <variant>
+#include <vector>
 
 #include "exp/runner.hh"
 #include "exp/spec.hh"
@@ -105,6 +106,10 @@ std::span<const Axis> axes();
 
 /** The axis with CSV/JSON key @p key; fatal() if none. */
 const Axis &axis(std::string_view key);
+
+/** "a,,b" -> {"a", "b"}: the comma lists of the axis flags and
+ *  awperf's --scenarios. */
+std::vector<std::string> splitList(const std::string &arg);
 
 /** @{ Flag-value parsers of the axis flags, awsweep and awsim;
  *  fatal() naming the flag on malformed input. */

@@ -1,25 +1,34 @@
 #include "exp/perf.hh"
 
+#include <algorithm>
 #include <chrono>
+#include <utility>
 
-#include "cluster/fleet.hh"
 #include "exp/runner.hh"
 #include "exp/spec.hh"
-#include "server/server_sim.hh"
 #include "sim/logging.hh"
 
 namespace aw::exp {
 
 namespace {
 
-/** Horizon of a spec-driven run: measured window plus warmup. */
+/** Horizon of a run: measured window plus warmup. */
 double
-horizonSeconds(const ExperimentSpec &spec)
+horizonSeconds(double seconds, double warmupSeconds)
 {
-    const double warmup = spec.warmupSeconds >= 0.0
-                              ? spec.warmupSeconds
-                              : spec.seconds / 10.0;
-    return spec.seconds + warmup;
+    return seconds +
+           (warmupSeconds >= 0.0 ? warmupSeconds : seconds / 10.0);
+}
+
+/** Simulate one point and add its totals to @p t. */
+void
+addPoint(PerfTotals &t, RunSpec run)
+{
+    t.simSeconds += horizonSeconds(run.seconds, run.warmupSeconds) *
+                    std::max(run.fleet.servers, 1u);
+    const auto out = simulate(std::move(run));
+    t.events += out.fleet ? out.fleet->events : out.server->events;
+    t.requests += out.fleet ? out.fleet->requests : out.server->requests;
 }
 
 /** Execute a sweep single-threaded and fold its totals. */
@@ -30,9 +39,9 @@ sweepTotals(const ExperimentSpec &spec)
     const auto result = runner.run(spec);
     PerfTotals t;
     for (const auto &p : result.points) {
-        const unsigned instances =
-            p.point.servers > 0 ? p.point.servers : 1;
-        t.simSeconds += horizonSeconds(spec) * instances;
+        t.simSeconds +=
+            horizonSeconds(spec.seconds, spec.warmupSeconds) *
+            std::max(p.point.servers, 1u);
         t.events += p.events;
         t.requests += p.requests;
     }
@@ -50,15 +59,13 @@ makeScenarios()
         "single_memcached",
         "1 server x memcached x aw config @ 200 KQPS, 1.0 s",
         []() {
-            server::ServerSim srv(configByName("aw"),
-                                  profileByName("memcached"),
-                                  200e3);
-            const auto r =
-                srv.run(sim::fromSec(1.0), sim::fromSec(0.1));
             PerfTotals t;
-            t.simSeconds = 1.1;
-            t.events = r.events;
-            t.requests = r.requests;
+            addPoint(t, {.fleet = {.servers = 0,
+                                   .server = configByName("aw")},
+                         .profile = profileByName("memcached"),
+                         .qps = 200e3,
+                         .seconds = 1.0,
+                         .warmupSeconds = 0.1});
             return t;
         }});
 
@@ -183,24 +190,21 @@ makeScenarios()
         []() {
             PerfTotals t;
             for (const char *config : {"aw_c6a", "c1c6"}) {
-                cluster::FleetConfig fc;
-                fc.servers = 4;
-                fc.server = configByName(config);
-                fc.server.idlePromotion = true;
-                fc.server.cap.capWatts = 18.0;
-                fc.server.cap.thermalEnabled = true;
-                fc.routing = "route-to-headroom";
-                fc.seed = 42;
-                fc.schedule = cluster::RateSchedule::flashCrowd(
-                    sim::fromSec(0.4), 3.0);
-                fc.epochSeconds = 0.05;
-                cluster::FleetSim fleet(
-                    fc, profileByName("memcached"), 200e3);
-                const auto r = fleet.run(sim::fromSec(0.4),
-                                         sim::fromSec(0.04));
-                t.simSeconds += 0.44 * fc.servers;
-                t.events += r.events;
-                t.requests += r.requests;
+                RunSpec run{
+                    .fleet = {.servers = 4,
+                              .server = configByName(config),
+                              .routing = "route-to-headroom",
+                              .schedule =
+                                  cluster::RateSchedule::flashCrowd(
+                                      sim::fromSec(0.4), 3.0),
+                              .epochSeconds = 0.05},
+                    .profile = profileByName("memcached"),
+                    .qps = 200e3,
+                    .seconds = 0.4,
+                    .warmupSeconds = 0.04};
+                run.fleet.server.cap.capWatts = 18.0;
+                run.fleet.server.cap.thermalEnabled = true;
+                addPoint(t, std::move(run));
             }
             return t;
         }});
@@ -219,33 +223,23 @@ makeScenarios()
         "c1c6 x round-robin} @ 3 MQPS, 2 s day, hardware fleet "
         "threads",
         []() {
-            struct FleetPoint
-            {
-                const char *config;
-                const char *routing;
-            };
             PerfTotals t;
-            for (const FleetPoint &p :
-                 {FleetPoint{"aw", "pack-first"},
-                  FleetPoint{"c1c6", "round-robin"}}) {
-                cluster::FleetConfig fc;
-                fc.servers = 10000;
-                fc.server = configByName(p.config);
-                fc.server.idlePromotion = true;
-                fc.routing = p.routing;
-                fc.seed = 42;
-                fc.schedule = cluster::RateSchedule::sinusoidal(
-                    sim::fromSec(2.0), 0.6);
-                fc.fleetThreads = 0; // hardware concurrency
-                fc.epochSeconds = 0.25;
-                cluster::FleetSim fleet(
-                    fc, profileByName("memcached"), 3e6);
-                const auto r = fleet.run(sim::fromSec(2.0),
-                                         sim::fromSec(0.2));
-                t.simSeconds += 2.2 * fc.servers;
-                t.events += r.events;
-                t.requests += r.requests;
-            }
+            for (const auto &[config, routing] :
+                 {std::pair{"aw", "pack-first"},
+                  std::pair{"c1c6", "round-robin"}})
+                addPoint(t,
+                         {.fleet = {.servers = 10000,
+                                    .server = configByName(config),
+                                    .routing = routing,
+                                    .schedule = cluster::RateSchedule::
+                                        sinusoidal(sim::fromSec(2.0),
+                                                   0.6),
+                                    .fleetThreads = 0, // hardware
+                                    .epochSeconds = 0.25},
+                          .profile = profileByName("memcached"),
+                          .qps = 3e6,
+                          .seconds = 2.0,
+                          .warmupSeconds = 0.2});
             return t;
         }});
 

@@ -2,11 +2,11 @@
 
 #include <chrono>
 #include <deque>
+#include <memory>
+#include <utility>
 
 #include "analysis/observers.hh"
-#include "cluster/fleet.hh"
 #include "exp/axis.hh"
-#include "server/server_sim.hh"
 #include "sim/logging.hh"
 
 namespace aw::exp {
@@ -40,6 +40,56 @@ SweepResult::at(const Query &q) const
         sim::fatal("SweepResult::at: %zu matches (want exactly 1)",
                    matches.size());
     return *matches.front();
+}
+
+// --------------------------------------------------------- simulate
+
+RunOutput
+simulate(RunSpec run)
+{
+    const auto [window, warmup] =
+        resolveWindow(run.seconds, run.warmupSeconds);
+    RunOutput out;
+
+    if (run.fleet.servers > 0) {
+        // Fleet runs model cpuidle's tick re-selection so spare
+        // servers sink to the deepest state (see docs/FLEET.md).
+        run.fleet.server.idlePromotion = true;
+        if (run.arrivals)
+            run.qps = run.arrivals->meanRatePerSec();
+        cluster::FleetSim fleet(std::move(run.fleet),
+                                std::move(run.profile), run.qps);
+        if (run.arrivals)
+            fleet.setArrivalTrace(std::move(*run.arrivals));
+        if (run.timeline)
+            fleet.enableTimeline(*run.timeline);
+        if (run.trace)
+            fleet.enableRequestTrace(*run.trace);
+        auto r = window > 0 ? fleet.run(window, warmup) : fleet.run();
+        out.timeline = std::exchange(r.timeline, std::nullopt);
+        out.trace = std::exchange(r.trace, std::nullopt);
+        out.fleet = std::move(r);
+        return out;
+    }
+
+    auto &cfg = run.fleet.server;
+    cfg.seed = run.fleet.seed;
+    analysis::ServerTelemetry telemetry(run.timeline, run.trace,
+                                        cfg.cores);
+    std::optional<server::ServerSim> srv;
+    if (run.arrivals)
+        srv.emplace(std::move(cfg), std::move(run.profile),
+                    std::make_unique<workload::TraceArrivals>(
+                        std::move(*run.arrivals), /*loop=*/true));
+    else
+        srv.emplace(std::move(cfg), std::move(run.profile), run.qps);
+    telemetry.attach(*srv);
+    out.server = window > 0 ? srv->run(window, warmup) : srv->run();
+    if (telemetry.recorder)
+        out.timeline = std::move(*telemetry.recorder).series();
+    if (telemetry.tracer)
+        out.trace = std::move(*telemetry.tracer).series();
+    return out;
 }
 
 // ------------------------------------------------------ SweepRunner
@@ -86,115 +136,83 @@ cachedConfig(const std::string &name)
 PointResult
 SweepRunner::runPoint(const ExperimentSpec &spec, const GridPoint &pt)
 {
-    const auto &profile = cachedProfile(pt.workload);
-    cluster::FleetConfig fc{.server = cachedConfig(pt.config)};
-    auto &cfg = fc.server;
+    RunSpec run{.profile = cachedProfile(pt.workload),
+                .qps = pt.qps,
+                .seconds = spec.seconds,
+                .warmupSeconds = spec.warmupSeconds};
+    auto &fc = run.fleet;
+    fc.server = cachedConfig(pt.config);
+    fc.seed = pt.seed;
+    fc.fleetThreads = spec.fleetThreads;
+    fc.epochSeconds = spec.epochSeconds;
     if (spec.cores > 0)
-        cfg.cores = spec.cores;
+        fc.server.cores = spec.cores;
     for (const Axis &a : axes())
         if (a.apply && a.shown(pt))
             a.apply(pt, fc);
     if (spec.thermal)
-        cfg.cap.thermalEnabled = true;
+        fc.server.cap.thermalEnabled = true;
     if (!spec.dispatch.empty())
-        cfg.dispatch = server::dispatchPolicyByName(spec.dispatch);
+        fc.server.dispatch = server::dispatchPolicyByName(spec.dispatch);
+    if (spec.timelineIntervalSeconds > 0.0)
+        run.timeline.emplace().intervalSeconds =
+            spec.timelineIntervalSeconds;
+    if (spec.traceRequests)
+        run.trace.emplace();
+
     // Cap metrics ride the extras channel only when the spec engaged
     // the subsystem, so no-axis artifacts keep their pre-cap schema
     // byte for byte.
     const bool cap_metrics = spec.thermal || axis("cap_w").swept(spec);
 
-    const sim::Tick duration =
-        spec.seconds > 0.0 ? sim::fromSec(spec.seconds) : 0;
-    const sim::Tick warmup =
-        spec.warmupSeconds >= 0.0 ? sim::fromSec(spec.warmupSeconds)
-                                  : duration / 10;
-    std::optional<analysis::TimelineConfig> timeline;
-    if (spec.timelineIntervalSeconds > 0.0) {
-        timeline.emplace();
-        timeline->intervalSeconds = spec.timelineIntervalSeconds;
-    }
-    std::optional<analysis::TraceConfig> trace;
-    if (spec.traceRequests)
-        trace.emplace();
+    auto out = simulate(std::move(run));
 
     PointResult res;
     res.point = pt;
-
-    if (pt.servers > 0) {
-        // Fleet runs model cpuidle's tick re-selection so spare
-        // servers reach deep idle (matches awsim's fleet mode).
-        cfg.idlePromotion = true;
-        fc.seed = pt.seed;
-        fc.fleetThreads = spec.fleetThreads;
-        fc.epochSeconds = spec.epochSeconds;
-        cluster::FleetSim fleet(fc, profile, pt.qps);
-        if (timeline)
-            fleet.enableTimeline(*timeline);
-        if (trace)
-            fleet.enableRequestTrace(*trace);
-        auto r = duration > 0 ? fleet.run(duration, warmup)
-                              : fleet.run();
-        res.timeline = std::move(r.timeline);
-        if (r.trace) {
+    res.timeline = std::move(out.timeline);
+    // The fields a server's and a fleet's results share.
+    const auto fold = [&](const auto &r) {
+        if (out.trace) {
             // Attribute and drop the raw spans: a sweep keeps one
             // attribution per point, not millions of span records.
-            res.trace = analysis::attributeTail(*r.trace);
+            res.trace = analysis::attributeTail(*out.trace);
             res.p999LatencyUs = r.p999LatencyUs;
         }
         res.events = r.events;
         res.requests = r.requests;
         res.achievedQps = r.achievedQps;
         res.windowSeconds = sim::toSec(r.window);
-        res.powerW = r.fleetPower;
-        res.energyPerRequestMj = r.energyPerRequestMj;
         res.avgLatencyUs = r.avgLatencyUs;
         res.p99LatencyUs = r.p99LatencyUs;
-        res.deepIdleShare = r.deepIdleShare;
-        res.minServerDeepShare = r.minServerDeepShare;
-        res.maxServerDeepShare = r.maxServerDeepShare;
-        res.busiestShareOfLoad = r.busiestShareOfLoad;
         res.residency = r.residency.share;
         if (cap_metrics) {
             res.extras.emplace_back("cap_throttle_share",
                                     r.capThrottleShare);
             res.extras.emplace_back("max_temp_c", r.maxTempC);
         }
+    };
+    if (out.fleet) {
+        const auto &r = *out.fleet;
+        fold(r);
+        res.powerW = r.fleetPower;
+        res.energyPerRequestMj = r.energyPerRequestMj;
+        res.deepIdleShare = r.deepIdleShare;
+        res.minServerDeepShare = r.minServerDeepShare;
+        res.maxServerDeepShare = r.maxServerDeepShare;
+        res.busiestShareOfLoad = r.busiestShareOfLoad;
     } else {
-        cfg.seed = pt.seed;
-        server::ServerSim srv(cfg, profile, pt.qps);
-        analysis::ServerTelemetry telemetry(timeline, trace, cfg.cores);
-        telemetry.attach(srv);
-        const auto r = duration > 0 ? srv.run(duration, warmup)
-                                    : srv.run();
-        if (telemetry.recorder)
-            res.timeline = telemetry.recorder->series();
-        if (telemetry.tracer) {
-            res.trace =
-                analysis::attributeTail(telemetry.tracer->series());
-            res.p999LatencyUs = r.p999LatencyUs;
-        }
-        res.events = r.events;
-        res.requests = r.requests;
-        res.achievedQps = r.achievedQps;
-        res.windowSeconds = sim::toSec(r.window);
+        const auto &r = *out.server;
+        fold(r);
         res.powerW = r.packagePower;
         res.energyPerRequestMj =
             r.requests > 0 ? 1e3 * r.packagePower *
                                  sim::toSec(r.window) / r.requests
                            : 0.0;
-        res.avgLatencyUs = r.avgLatencyUs;
-        res.p99LatencyUs = r.p99LatencyUs;
         const double deep = cluster::deepIdleShare(r.residency);
         res.deepIdleShare = deep;
         res.minServerDeepShare = deep;
         res.maxServerDeepShare = deep;
         res.busiestShareOfLoad = 1.0;
-        res.residency = r.residency.share;
-        if (cap_metrics) {
-            res.extras.emplace_back("cap_throttle_share",
-                                    r.capThrottleShare);
-            res.extras.emplace_back("max_temp_c", r.maxTempC);
-        }
     }
     return res;
 }
@@ -223,7 +241,7 @@ SweepRunner::run(const ExperimentSpec &spec, const PointFn &fn) const
         for (const auto &pt : grid)
             result.points[pt.index] = fn(pt);
     } else {
-        ThreadPool pool(threads());
+        sim::ThreadPool pool(threads());
         for (const auto &pt : grid)
             pool.submit([&fn, &pt, &result] {
                 result.points[pt.index] = fn(pt);

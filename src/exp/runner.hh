@@ -1,12 +1,15 @@
 /**
  * @file
- * Parallel sweep execution.
+ * The one run path and parallel sweep execution.
  *
- * SweepRunner expands an ExperimentSpec and executes the grid
- * points on a work-stealing sim::ThreadPool; every point's RNG
- * stream is derived from (spec seed, grid index) and each result is
- * written into its pre-assigned slot, so the folded SweepResult is
- * bit-identical regardless of thread count or completion order.
+ * simulate() builds and runs one point -- a ServerSim or a FleetSim
+ * at one offered load -- for awsim, SweepRunner::runPoint (awsweep)
+ * and awperf alike. SweepRunner expands an ExperimentSpec and
+ * executes the grid points on a work-stealing sim::ThreadPool;
+ * every point's RNG stream is derived from (spec seed, grid index)
+ * and each result is written into its pre-assigned slot, so the
+ * folded SweepResult is bit-identical regardless of thread count or
+ * completion order.
  */
 
 #ifndef AW_EXP_RUNNER_HH
@@ -19,16 +22,52 @@
 
 #include "analysis/sampler.hh"
 #include "analysis/trace.hh"
+#include "cluster/fleet.hh"
 #include "cstate/cstate.hh"
 #include "exp/spec.hh"
+#include "server/server_sim.hh"
 #include "sim/thread_pool.hh"
+#include "workload/trace.hh"
 
 namespace aw::exp {
 
-/** The pool moved to the base layer (sim/thread_pool.hh) so the
- *  cluster layer can parallelize within a fleet point; the exp-side
- *  name stays valid for existing users. */
-using ThreadPool = sim::ThreadPool;
+/** One resolved simulator run: the input of simulate(). */
+struct RunSpec
+{
+    /** servers == 0 (the default here, unlike FleetConfig's own)
+     *  runs one ServerSim from fleet.server, seeded with fleet.seed;
+     *  write .servers explicitly when brace-initializing. */
+    cluster::FleetConfig fleet{.servers = 0};
+    workload::WorkloadProfile profile; //!< required: no default
+    double qps = 0.0; //!< offered load, whole fleet
+    /** Looped replay of captured gaps; its mean rate replaces qps. */
+    std::optional<workload::ArrivalTrace> arrivals{};
+    double seconds = 0.0;        //!< see resolveWindow()
+    double warmupSeconds = -1.0; //!< see resolveWindow()
+    std::optional<analysis::TimelineConfig> timeline{};
+    std::optional<analysis::TraceConfig> trace{};
+};
+
+/** What simulate() produced: exactly one of server and fleet (a
+ *  fleet's timeline and trace moved out), plus the requested
+ *  observations -- trace holds the raw spans, merged across a
+ *  fleet's servers. */
+struct RunOutput
+{
+    std::optional<server::RunResult> server;
+    std::optional<cluster::FleetResult> fleet;
+    std::optional<analysis::TimelineSeries> timeline;
+    std::optional<analysis::TraceSeries> trace;
+};
+
+/**
+ * Build and run one point. The only code outside src/cluster/ that
+ * constructs a ServerSim or FleetSim: fleets get cpuidle-style idle
+ * promotion so spare servers reach deep idle (docs/FLEET.md), and a
+ * single server gets its observers through
+ * analysis::ServerTelemetry.
+ */
+RunOutput simulate(RunSpec run);
 
 /**
  * Metrics of one executed grid point. The simulation fields are
@@ -124,7 +163,7 @@ struct SweepResult
 };
 
 /**
- * Expand a spec and execute it on a ThreadPool.
+ * Expand a spec and execute it on a sim::ThreadPool.
  */
 class SweepRunner
 {
@@ -140,17 +179,16 @@ class SweepRunner
                     const PointFn &fn) const;
 
     /**
-     * The default point function: a FleetSim run for fleet points
-     * (idle promotion on, like awsim's fleet mode), a ServerSim run
-     * for single-server points. Exposed so custom functions can
-     * wrap it.
+     * The default point function: resolve the point into a RunSpec,
+     * simulate() it and fold the result. Exposed so custom
+     * functions can wrap it.
      */
     static PointResult runPoint(const ExperimentSpec &spec,
                                 const GridPoint &pt);
 
     unsigned threads() const
     {
-        return ThreadPool::resolveThreads(_threads);
+        return sim::ThreadPool::resolveThreads(_threads);
     }
 
   private:

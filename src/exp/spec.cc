@@ -129,6 +129,18 @@ GridPoint::label() const
     return l;
 }
 
+std::pair<sim::Tick, sim::Tick>
+resolveWindow(double seconds, double warmupSeconds)
+{
+    if (warmupSeconds >= 0.0 && seconds <= 0.0)
+        sim::fatal("a warmup (--warmup, warmupSeconds) needs an "
+                   "explicit window (--seconds, seconds): the "
+                   "auto-sized window picks its own warmup");
+    const sim::Tick window = seconds > 0.0 ? sim::fromSec(seconds) : 0;
+    return {window, warmupSeconds >= 0.0 ? sim::fromSec(warmupSeconds)
+                                         : window / 10};
+}
+
 void
 ExperimentSpec::validate() const
 {
@@ -136,11 +148,7 @@ ExperimentSpec::validate() const
         sim::fatal("ExperimentSpec '%s': qpsPerServer requires a "
                    "fleet-size axis",
                    name.c_str());
-    if (warmupSeconds >= 0.0 && seconds <= 0.0)
-        sim::fatal("ExperimentSpec '%s': warmupSeconds requires an "
-                   "explicit seconds (the auto-sized window picks "
-                   "its own warmup)",
-                   name.c_str());
+    resolveWindow(seconds, warmupSeconds);
     if (timelineIntervalSeconds < 0.0 ||
         !std::isfinite(timelineIntervalSeconds))
         sim::fatal("ExperimentSpec '%s': timelineIntervalSeconds "

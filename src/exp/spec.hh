@@ -17,9 +17,11 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "server/config.hh"
+#include "sim/types.hh"
 #include "workload/profiles.hh"
 
 namespace aw::exp {
@@ -105,11 +107,11 @@ struct ExperimentSpec
     /** Top-level seed every grid point derives its stream from. */
     std::uint64_t seed = 42;
 
-    /** @{ Run shaping. seconds <= 0 selects the simulator's
-     *  auto-sized window (ServerSim::run() / FleetSim::run()
-     *  defaults, which pick their own warmup); warmupSeconds < 0 =
-     *  seconds/10. Setting warmupSeconds without seconds is a
-     *  validation error. */
+    /** @{ Run shaping, resolved by resolveWindow(): seconds <= 0
+     *  selects the simulator's auto-sized window (ServerSim::run()
+     *  / FleetSim::run() defaults, which pick their own warmup);
+     *  warmupSeconds < 0 = seconds/10. Setting warmupSeconds
+     *  without seconds is a validation error. */
     double seconds = 0.0;
     double warmupSeconds = -1.0;
     /** @} */
@@ -173,6 +175,16 @@ struct ExperimentSpec
      *  size, qps, variant, replica. Calls validate(). */
     std::vector<GridPoint> expand() const;
 };
+
+/**
+ * ExperimentSpec's window rules, shared by every run path: the
+ * {measured window, warmup} in ticks, where a zero window selects
+ * the simulator's auto-sized one (seconds <= 0) and warmupSeconds
+ * < 0 means seconds/10. fatal() on a warmup without an explicit
+ * window, which the auto-sized window would silently ignore.
+ */
+std::pair<sim::Tick, sim::Tick> resolveWindow(double seconds,
+                                              double warmupSeconds);
 
 /** @{ Name registries shared by awsim, awsweep and the spec
  *  validator. Unknown names are fatal() with the known list. */

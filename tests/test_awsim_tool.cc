@@ -166,6 +166,7 @@ INSTANTIATE_TEST_SUITE_P(
         BadFlag{"--qps banana", "bad value"},
         BadFlag{"--seconds -1", ">= 0"},
         BadFlag{"--warmup -0.2", ">= 0"},
+        BadFlag{"--warmup 0.1", "needs an explicit window (--seconds"},
         BadFlag{"--cores 0", "at least 1 core"},
         BadFlag{"--cores -4", "bad value"},
         BadFlag{"--seed -7", "bad value"},

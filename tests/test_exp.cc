@@ -28,7 +28,7 @@ using exp::ExperimentSpec;
 using exp::GridPoint;
 using exp::PointResult;
 using exp::SweepRunner;
-using exp::ThreadPool;
+using sim::ThreadPool;
 
 // ------------------------------------------------------------- spec
 

@@ -18,11 +18,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
-#include <optional>
 #include <string>
 
-#include "analysis/observers.hh"
 #include "analysis/power_model.hh"
 #include "analysis/sampler.hh"
 #include "analysis/table.hh"
@@ -30,10 +27,9 @@
 #include "cluster/fleet.hh"
 #include "exp/axis.hh"
 #include "exp/emit.hh"
+#include "exp/runner.hh"
 #include "exp/spec.hh"
-#include "server/server_sim.hh"
 #include "sim/logging.hh"
-#include "workload/profiles.hh"
 #include "workload/trace.hh"
 
 namespace {
@@ -153,13 +149,6 @@ struct TimelineOpts
     {
         return !csvPath.empty() || !jsonPath.empty();
     }
-
-    analysis::TimelineConfig config() const
-    {
-        analysis::TimelineConfig tc;
-        tc.intervalSeconds = intervalSeconds;
-        return tc;
-    }
 };
 
 /** --trace-requests/--trace-requests-json/--trace-chrome. */
@@ -237,56 +226,28 @@ writeTimeline(const analysis::TimelineSeries &series,
                 tl.jsonPath.c_str());
 }
 
-void
-runFleet(const cluster::FleetConfig &fleet_cfg,
-         const workload::WorkloadProfile &profile, double qps,
-         double seconds, double warmup,
-         const std::string &trace_path, const TimelineOpts &tl,
-         const TraceOpts &tr)
+/** The header's DVFS, SLO and power-cap annotations. */
+std::string
+dvfsNote(const server::ServerConfig &cfg)
 {
-    // A replayed trace defines the offered rate, like the
-    // single-server path.
-    std::optional<workload::ArrivalTrace> trace;
-    if (!trace_path.empty()) {
-        trace = workload::ArrivalTrace::loadCsv(trace_path);
-        qps = trace->meanRatePerSec();
-    }
-    cluster::FleetSim fleet(fleet_cfg, profile, qps);
-    if (trace)
-        fleet.setArrivalTrace(std::move(*trace));
-    if (tl.enabled())
-        fleet.enableTimeline(tl.config());
-    if (tr.enabled())
-        fleet.enableRequestTrace(analysis::TraceConfig{});
+    std::string note;
+    if (!cfg.freqPolicy.empty())
+        note += " freq=" + cfg.freqPolicy;
+    if (cfg.sloUs > 0.0)
+        note += sim::strprintf(" slo=%gus", cfg.sloUs);
+    if (cfg.cap.capWatts > 0.0)
+        note += sim::strprintf(" cap=%gW", cfg.cap.capWatts);
+    if (cfg.cap.thermalEnabled)
+        note += " thermal";
+    return note;
+}
 
-    const auto r =
-        seconds > 0.0
-            ? fleet.run(sim::fromSec(seconds),
-                        sim::fromSec(warmup >= 0.0 ? warmup
-                                                   : seconds / 10.0))
-            : fleet.run();
-
-    std::string dvfs_note;
-    if (!fleet_cfg.server.freqPolicy.empty())
-        dvfs_note += " freq=" + fleet_cfg.server.freqPolicy;
-    if (fleet_cfg.server.sloUs > 0.0)
-        dvfs_note +=
-            sim::strprintf(" slo=%gus", fleet_cfg.server.sloUs);
-    if (fleet_cfg.server.cap.capWatts > 0.0)
-        dvfs_note += sim::strprintf(" cap=%gW",
-                                    fleet_cfg.server.cap.capWatts);
-    if (fleet_cfg.server.cap.thermalEnabled)
-        dvfs_note += " thermal";
-    std::printf("fleet=%u route=%s workload=%s config=%s "
-                "governor=%s qps=%.0f seed=%llu%s%s\n\n",
-                r.servers, r.routingName.c_str(),
-                r.workloadName.c_str(), r.configName.c_str(),
-                fleet_cfg.server.governor.c_str(), r.offeredQps,
-                static_cast<unsigned long long>(fleet_cfg.seed),
-                fleet_cfg.schedule.isFlat() ? "" : " diurnal",
-                dvfs_note.c_str());
-
-    analysis::TableWriter t({"metric", "value"});
+/** @{ Metric rows a server's and a fleet's tables share, over
+ *  server::RunResult and cluster::FleetResult alike. */
+template <typename Result>
+void
+addWindowRows(analysis::TableWriter &t, const Result &r)
+{
     t.addRow({"window (s)",
               analysis::cell("%.3f", sim::toSec(r.window))});
     t.addRow({"requests", analysis::cell(
@@ -294,18 +255,60 @@ runFleet(const cluster::FleetConfig &fleet_cfg,
                                           r.requests))});
     t.addRow({"achieved qps",
               analysis::cell("%.0f", r.achievedQps)});
-    t.addRow({"fleet power (W)",
-              analysis::cell("%.2f", r.fleetPower)});
-    t.addRow({"fleet energy (J)",
-              analysis::cell("%.2f", r.fleetEnergy)});
-    t.addRow({"energy/request (mJ)",
-              analysis::cell("%.3f", r.energyPerRequestMj)});
+}
+
+template <typename Result>
+void
+addLatencyRows(analysis::TableWriter &t, const Result &r)
+{
     t.addRow({"avg latency (us)",
               analysis::cell("%.2f", r.avgLatencyUs)});
     t.addRow({"p99 latency (us)",
               analysis::cell("%.2f", r.p99LatencyUs)});
     t.addRow({"p99.9 latency (us)",
               analysis::cell("%.2f", r.p999LatencyUs)});
+}
+
+template <typename Result>
+void
+addCapRows(analysis::TableWriter &t, const cap::CapConfig &cap,
+           const Result &r)
+{
+    if (!cap.enabled())
+        return;
+    t.addRow({"cap throttled",
+              analysis::cell("%.1f%%", 100 * r.capThrottleShare)});
+    t.addRow({"forced-idle naps",
+              analysis::cell("%llu", static_cast<unsigned long long>(
+                                         r.forcedIdleNaps))});
+    if (cap.thermalEnabled)
+        t.addRow({"max temp (C)", analysis::cell("%.1f", r.maxTempC)});
+}
+/** @} */
+
+/** Print a fleet run's tables; returns its artifact label. */
+std::string
+printFleet(const cluster::FleetConfig &fleet_cfg,
+           const cluster::FleetResult &r)
+{
+    std::printf("fleet=%u route=%s workload=%s config=%s "
+                "governor=%s qps=%.0f seed=%llu%s%s\n\n",
+                r.servers, r.routingName.c_str(),
+                r.workloadName.c_str(), r.configName.c_str(),
+                fleet_cfg.server.governor.c_str(), r.offeredQps,
+                static_cast<unsigned long long>(fleet_cfg.seed),
+                fleet_cfg.schedule.isFlat() ? "" : " diurnal",
+                dvfsNote(fleet_cfg.server).c_str());
+
+    analysis::TableWriter t({"metric", "value"});
+    addWindowRows(t, r);
+    t.addRow({"fleet power (W)",
+              analysis::cell("%.2f", r.fleetPower)});
+    t.addRow({"fleet energy (J)",
+              analysis::cell("%.2f", r.fleetEnergy)});
+    t.addRow({"energy/request (mJ)",
+              analysis::cell("%.3f", r.energyPerRequestMj)});
+    addLatencyRows(t, r);
     t.addRow({"deep idle (C6 family)",
               analysis::cell("%.1f%%", 100 * r.deepIdleShare)});
     t.addRow({"deep idle spread",
@@ -314,18 +317,7 @@ runFleet(const cluster::FleetConfig &fleet_cfg,
                              100 * r.maxServerDeepShare)});
     t.addRow({"busiest server load share",
               analysis::cell("%.1f%%", 100 * r.busiestShareOfLoad)});
-    if (fleet_cfg.server.cap.enabled()) {
-        t.addRow({"cap throttled",
-                  analysis::cell("%.1f%%",
-                                 100 * r.capThrottleShare)});
-        t.addRow({"forced-idle naps",
-                  analysis::cell("%llu",
-                                 static_cast<unsigned long long>(
-                                     r.forcedIdleNaps))});
-        if (fleet_cfg.server.cap.thermalEnabled)
-            t.addRow({"max temp (C)",
-                      analysis::cell("%.1f", r.maxTempC)});
-    }
+    addCapRows(t, fleet_cfg.server.cap, r);
     t.print();
 
     std::printf("\nper-server:\n");
@@ -347,15 +339,70 @@ runFleet(const cluster::FleetConfig &fleet_cfg,
                    analysis::cell("%.1f", s.p99LatencyUs)});
     }
     ps.print();
+    return sim::strprintf("fleet%u/%s/%s/%.0fqps", r.servers,
+                          r.workloadName.c_str(), r.configName.c_str(),
+                          r.offeredQps);
+}
 
-    const std::string label =
-        sim::strprintf("fleet%u/%s/%s/%.0fqps", r.servers,
-                       r.workloadName.c_str(), r.configName.c_str(),
-                       r.offeredQps);
-    if (tl.enabled())
-        writeTimeline(*r.timeline, label, tl);
-    if (tr.enabled())
-        writeRequestTrace(*r.trace, label, tr);
+/** Print a server run's tables; returns its artifact label. */
+std::string
+printServer(const cluster::FleetConfig &fc, const server::RunResult &r)
+{
+    const auto &cfg = fc.server;
+    std::printf("workload=%s config=%s governor=%s dispatch=%s "
+                "qps=%.0f cores=%u seed=%llu%s%s%s\n\n",
+                r.workloadName.c_str(), r.configName.c_str(),
+                cfg.governor.c_str(), server::name(cfg.dispatch),
+                r.offeredQps, cfg.cores,
+                static_cast<unsigned long long>(fc.seed),
+                cfg.packageCStatesEnabled ? " package" : "",
+                cfg.runAtPn ? " pn" : "", dvfsNote(cfg).c_str());
+
+    analysis::TableWriter t({"metric", "value"});
+    addWindowRows(t, r);
+    t.addRow({"avg core power (W)",
+              analysis::cell("%.4f", r.avgCorePower)});
+    t.addRow({"package power (W)",
+              analysis::cell("%.2f", r.packagePower)});
+    t.addRow({"core energy (J)",
+              analysis::cell("%.2f", r.coreEnergy)});
+    addLatencyRows(t, r);
+    t.addRow({"avg latency e2e (us)",
+              analysis::cell("%.2f", r.avgLatencyE2eUs)});
+    t.addRow({"transitions/request",
+              analysis::cell("%.3f", r.transitionsPerRequest)});
+    t.addRow({"mispredicted entries",
+              analysis::cell("%llu",
+                             static_cast<unsigned long long>(
+                                 r.mispredictedEntries))});
+    if (!cfg.freqPolicy.empty()) {
+        t.addRow({"P-state ramps",
+                  analysis::cell("%llu",
+                                 static_cast<unsigned long long>(
+                                     r.freqTransitions))});
+        t.addRow({"ramp energy (J)",
+                  analysis::cell("%.4f", r.freqTransitionEnergyJ)});
+    }
+    addCapRows(t, cfg.cap, r);
+    t.print();
+
+    std::printf("\nresidency: ");
+    for (std::size_t i = 0; i < cstate::kNumCStates; ++i) {
+        const auto id = static_cast<cstate::CStateId>(i);
+        const double share = r.residency.shareOf(id);
+        if (share > 0.0005)
+            std::printf("%s=%.1f%% ", cstate::name(id),
+                        100.0 * share);
+    }
+    std::printf("\n");
+    if (cfg.packageCStatesEnabled) {
+        std::printf("package:   PC0=%.1f%% PC2=%.1f%% PC6=%.1f%% "
+                    "uncore=%.2fW\n",
+                    100 * r.pkgResidency[0], 100 * r.pkgResidency[1],
+                    100 * r.pkgResidency[2], r.avgUncorePower);
+    }
+    return sim::strprintf("%s/%s/%.0fqps", r.workloadName.c_str(),
+                          r.configName.c_str(), r.offeredQps);
 }
 
 } // namespace
@@ -363,7 +410,9 @@ runFleet(const cluster::FleetConfig &fleet_cfg,
 int
 main(int argc, char **argv)
 {
-    std::string workload_name = "memcached";
+    exp::RunSpec run{.profile = profileByName("memcached"),
+                     .qps = 100e3};
+    auto &fc = run.fleet;
     std::string config_name = "baseline";
     std::string governor; //!< empty = config default ("menu")
     std::string freq_governor; //!< empty = static operating point
@@ -371,25 +420,15 @@ main(int argc, char **argv)
     double cap_watts = 0.0; //!< 0 = uncapped
     bool thermal = false;
     std::string dispatch; //!< empty = config default ("static")
-    double qps = 100e3;
-    double seconds = 0.0;
-    double warmup = -1.0;
     unsigned cores = 10;
-    std::uint64_t seed = 42;
     double snoops = 0.0;
     bool packing = false;
     bool package = false;
     bool pn = false;
     bool estimate_aw = false;
-    std::string trace_path;
-    unsigned fleet = 0;
-    std::string route = "round-robin";
-    unsigned pack_cap = 0;
     double diurnal = 0.0;
     double diurnal_period = 1.0;
     double flash = 0.0;
-    unsigned fleet_threads = 1;
-    double epoch_seconds = 0.0;
     TimelineOpts timeline;
     TraceOpts reqtrace;
     const char *fleet_flag = nullptr; //!< last fleet-only flag seen
@@ -405,7 +444,7 @@ main(int argc, char **argv)
             usage();
             return 0;
         } else if (arg == "--workload") {
-            workload_name = next("--workload");
+            run.profile = profileByName(next("--workload"));
         } else if (arg == "--config") {
             config_name = next("--config");
         } else if (arg == "--governor") {
@@ -429,29 +468,29 @@ main(int argc, char **argv)
         } else if (arg == "--dispatch") {
             dispatch = next("--dispatch");
         } else if (arg == "--qps") {
-            qps = parseDouble("--qps", next("--qps"));
-            if (qps <= 0.0)
+            run.qps = parseDouble("--qps", next("--qps"));
+            if (run.qps <= 0.0)
                 sim::fatal("--qps: offered load must be positive "
                            "(got %g)",
-                           qps);
+                           run.qps);
         } else if (arg == "--seconds") {
-            seconds = parseDouble("--seconds", next("--seconds"));
-            if (seconds < 0.0)
+            run.seconds = parseDouble("--seconds", next("--seconds"));
+            if (run.seconds < 0.0)
                 sim::fatal("--seconds: window must be >= 0 "
                            "(0 = auto-sized; got %g)",
-                           seconds);
+                           run.seconds);
         } else if (arg == "--warmup") {
-            warmup = parseDouble("--warmup", next("--warmup"));
-            if (warmup < 0.0)
+            run.warmupSeconds = parseDouble("--warmup", next("--warmup"));
+            if (run.warmupSeconds < 0.0)
                 sim::fatal("--warmup: must be >= 0 (omit the flag "
                            "for the window/10 default; got %g)",
-                           warmup);
+                           run.warmupSeconds);
         } else if (arg == "--cores") {
             cores = parseUnsigned("--cores", next("--cores"));
             if (cores == 0)
                 sim::fatal("--cores: need at least 1 core");
         } else if (arg == "--seed") {
-            seed = parseUint64("--seed", next("--seed"));
+            fc.seed = parseUint64("--seed", next("--seed"));
         } else if (arg == "--snoops") {
             snoops = parseDouble("--snoops", next("--snoops"));
             if (snoops < 0.0)
@@ -466,7 +505,7 @@ main(int argc, char **argv)
         } else if (arg == "--estimate-aw") {
             estimate_aw = true;
         } else if (arg == "--trace") {
-            trace_path = next("--trace");
+            run.arrivals = workload::ArrivalTrace::loadCsv(next("--trace"));
         } else if (arg == "--timeline") {
             timeline.csvPath = next("--timeline");
         } else if (arg == "--timeline-json") {
@@ -483,14 +522,14 @@ main(int argc, char **argv)
             if (timeline.intervalSeconds <= 0.0)
                 sim::fatal("--timeline-interval: must be positive");
         } else if (arg == "--fleet") {
-            fleet = parseUnsigned("--fleet", next("--fleet"));
-            if (fleet == 0)
+            fc.servers = parseUnsigned("--fleet", next("--fleet"));
+            if (fc.servers == 0)
                 sim::fatal("--fleet: need at least 1 server");
         } else if (arg == "--route") {
-            route = next("--route");
+            fc.routing = next("--route");
             fleet_flag = "--route";
         } else if (arg == "--pack-cap") {
-            pack_cap =
+            fc.packCapacity =
                 parseUnsigned("--pack-cap", next("--pack-cap"));
             fleet_flag = "--pack-cap";
         } else if (arg == "--diurnal") {
@@ -508,19 +547,19 @@ main(int argc, char **argv)
                            flash);
             fleet_flag = "--flash";
         } else if (arg == "--fleet-threads") {
-            fleet_threads = parseUnsigned("--fleet-threads",
-                                          next("--fleet-threads"));
-            if (fleet_threads == 0)
+            fc.fleetThreads = parseUnsigned("--fleet-threads",
+                                            next("--fleet-threads"));
+            if (fc.fleetThreads == 0)
                 sim::fatal("--fleet-threads: need at least 1 "
                            "worker thread");
             fleet_flag = "--fleet-threads";
         } else if (arg == "--epoch") {
-            epoch_seconds = parseDouble("--epoch", next("--epoch"));
-            if (epoch_seconds <= 0.0)
+            fc.epochSeconds = parseDouble("--epoch", next("--epoch"));
+            if (fc.epochSeconds <= 0.0)
                 sim::fatal("--epoch: epoch length must be positive "
                            "(omit the flag for one epoch spanning "
                            "the run; got %g)",
-                           epoch_seconds);
+                           fc.epochSeconds);
             fleet_flag = "--epoch";
         } else {
             usage();
@@ -528,10 +567,8 @@ main(int argc, char **argv)
         }
     }
 
-    auto profile = profileByName(workload_name);
-    auto cfg = configByName(config_name);
+    auto &cfg = fc.server = configByName(config_name);
     cfg.cores = cores;
-    cfg.seed = seed;
     cfg.snoopRatePerSec = snoops;
     cfg.runAtPn = pn;
     cfg.packageCStatesEnabled = package;
@@ -546,11 +583,11 @@ main(int argc, char **argv)
         sim::fatal("--packing conflicts with --dispatch %s",
                    dispatch.c_str());
     if (packing)
-        cfg.dispatch = server::DispatchPolicy::Packing;
+        dispatch = "packing";
     if (!dispatch.empty())
         cfg.dispatch = server::dispatchPolicyByName(dispatch);
 
-    if (fleet == 0 && fleet_flag)
+    if (fc.servers == 0 && fleet_flag)
         sim::fatal("%s requires --fleet N", fleet_flag);
     if (timeline.enabled() && timeline.intervalSeconds <= 0.0)
         timeline.intervalSeconds = 0.01;
@@ -564,157 +601,35 @@ main(int argc, char **argv)
     if (diurnal > 0.0 && flash > 0.0)
         sim::fatal("--flash conflicts with --diurnal (pick one "
                    "load shape)");
-    if (fleet > 0) {
-        cluster::FleetConfig fc;
-        fc.servers = fleet;
-        fc.server = cfg;
-        // Fleet runs model cpuidle's tick re-selection so spare
-        // servers sink to the deepest state (see docs/FLEET.md).
-        fc.server.idlePromotion = true;
-        fc.routing = route;
-        fc.packCapacity = pack_cap;
-        fc.seed = seed;
-        fc.fleetThreads = fleet_threads;
-        fc.epochSeconds = epoch_seconds;
-        if (diurnal > 0.0)
-            fc.schedule = cluster::RateSchedule::sinusoidal(
-                sim::fromSec(diurnal_period), diurnal);
-        else if (flash > 0.0)
-            fc.schedule = cluster::RateSchedule::flashCrowd(
-                sim::fromSec(diurnal_period), flash);
-        runFleet(fc, profile, qps, seconds, warmup, trace_path,
-                 timeline, reqtrace);
-        return 0;
-    }
+    if (diurnal > 0.0)
+        fc.schedule = cluster::RateSchedule::sinusoidal(
+            sim::fromSec(diurnal_period), diurnal);
+    else if (flash > 0.0)
+        fc.schedule = cluster::RateSchedule::flashCrowd(
+            sim::fromSec(diurnal_period), flash);
+    if (timeline.enabled())
+        run.timeline.emplace().intervalSeconds = timeline.intervalSeconds;
+    if (reqtrace.enabled())
+        run.trace.emplace();
 
-    std::unique_ptr<server::ServerSim> srv_owner;
-    if (!trace_path.empty()) {
-        auto trace = workload::ArrivalTrace::loadCsv(trace_path);
-        qps = trace.meanRatePerSec();
-        srv_owner = std::make_unique<server::ServerSim>(
-            cfg, profile,
-            std::make_unique<workload::TraceArrivals>(
-                std::move(trace), /*loop=*/true));
-    } else {
-        srv_owner = std::make_unique<server::ServerSim>(cfg, profile,
-                                                        qps);
-    }
-    server::ServerSim &srv = *srv_owner;
-    analysis::ServerTelemetry telemetry(
-        timeline.enabled() ? std::optional(timeline.config())
-                           : std::nullopt,
-        reqtrace.enabled() ? std::optional(analysis::TraceConfig{})
-                           : std::nullopt,
-        cfg.cores);
-    telemetry.attach(srv);
-    const auto r =
-        seconds > 0.0
-            ? srv.run(sim::fromSec(seconds),
-                      sim::fromSec(warmup >= 0.0 ? warmup
-                                                 : seconds / 10.0))
-            : srv.run();
+    const auto out = exp::simulate(run);
 
-    std::string dvfs_note;
-    if (!cfg.freqPolicy.empty())
-        dvfs_note += " freq=" + cfg.freqPolicy;
-    if (cfg.sloUs > 0.0)
-        dvfs_note += sim::strprintf(" slo=%gus", cfg.sloUs);
-    if (cfg.cap.capWatts > 0.0)
-        dvfs_note += sim::strprintf(" cap=%gW", cfg.cap.capWatts);
-    if (cfg.cap.thermalEnabled)
-        dvfs_note += " thermal";
-    std::printf("workload=%s config=%s governor=%s dispatch=%s "
-                "qps=%.0f cores=%u seed=%llu%s%s%s\n\n",
-                r.workloadName.c_str(), r.configName.c_str(),
-                cfg.governor.c_str(), server::name(cfg.dispatch),
-                r.offeredQps, cores,
-                static_cast<unsigned long long>(seed),
-                package ? " package" : "", pn ? " pn" : "",
-                dvfs_note.c_str());
+    const std::string label = out.fleet ? printFleet(fc, *out.fleet)
+                                        : printServer(fc, *out.server);
+    if (out.timeline)
+        writeTimeline(*out.timeline, label, timeline);
+    if (out.trace)
+        writeRequestTrace(*out.trace, label, reqtrace);
 
-    analysis::TableWriter t({"metric", "value"});
-    t.addRow({"window (s)", analysis::cell("%.3f",
-                                           sim::toSec(r.window))});
-    t.addRow({"requests", analysis::cell(
-                              "%llu", static_cast<unsigned long long>(
-                                          r.requests))});
-    t.addRow({"achieved qps", analysis::cell("%.0f",
-                                             r.achievedQps)});
-    t.addRow({"avg core power (W)",
-              analysis::cell("%.4f", r.avgCorePower)});
-    t.addRow({"package power (W)",
-              analysis::cell("%.2f", r.packagePower)});
-    t.addRow({"core energy (J)",
-              analysis::cell("%.2f", r.coreEnergy)});
-    t.addRow({"avg latency (us)",
-              analysis::cell("%.2f", r.avgLatencyUs)});
-    t.addRow({"p99 latency (us)",
-              analysis::cell("%.2f", r.p99LatencyUs)});
-    t.addRow({"p99.9 latency (us)",
-              analysis::cell("%.2f", r.p999LatencyUs)});
-    t.addRow({"avg latency e2e (us)",
-              analysis::cell("%.2f", r.avgLatencyE2eUs)});
-    t.addRow({"transitions/request",
-              analysis::cell("%.3f", r.transitionsPerRequest)});
-    t.addRow({"mispredicted entries",
-              analysis::cell("%llu",
-                             static_cast<unsigned long long>(
-                                 r.mispredictedEntries))});
-    if (!cfg.freqPolicy.empty()) {
-        t.addRow({"P-state ramps",
-                  analysis::cell("%llu",
-                                 static_cast<unsigned long long>(
-                                     r.freqTransitions))});
-        t.addRow({"ramp energy (J)",
-                  analysis::cell("%.4f", r.freqTransitionEnergyJ)});
-    }
-    if (cfg.cap.enabled()) {
-        t.addRow({"cap throttled",
-                  analysis::cell("%.1f%%",
-                                 100 * r.capThrottleShare)});
-        t.addRow({"forced-idle naps",
-                  analysis::cell("%llu",
-                                 static_cast<unsigned long long>(
-                                     r.forcedIdleNaps))});
-        if (cfg.cap.thermalEnabled)
-            t.addRow({"max temp (C)",
-                      analysis::cell("%.1f", r.maxTempC)});
-    }
-    t.print();
-
-    std::printf("\nresidency: ");
-    for (std::size_t i = 0; i < cstate::kNumCStates; ++i) {
-        const auto id = static_cast<cstate::CStateId>(i);
-        const double share = r.residency.shareOf(id);
-        if (share > 0.0005)
-            std::printf("%s=%.1f%% ", cstate::name(id),
-                        100.0 * share);
-    }
-    std::printf("\n");
-    if (package) {
-        std::printf("package:   PC0=%.1f%% PC2=%.1f%% PC6=%.1f%% "
-                    "uncore=%.2fW\n",
-                    100 * r.pkgResidency[0], 100 * r.pkgResidency[1],
-                    100 * r.pkgResidency[2], r.avgUncorePower);
-    }
-
-    const std::string run_label = sim::strprintf(
-        "%s/%s/%.0fqps", r.workloadName.c_str(),
-        r.configName.c_str(), r.offeredQps);
-    if (telemetry.recorder)
-        writeTimeline(telemetry.recorder->series(), run_label, timeline);
-    if (telemetry.tracer)
-        writeRequestTrace(telemetry.tracer->series(), run_label,
-                          reqtrace);
-
-    if (estimate_aw) {
+    if (estimate_aw && out.server) {
         core::AwCoreModel aw_model;
         const analysis::CStatePowerModel model(
             server::StatePowers::fromModels(aw_model.ppa()));
         std::printf("\nEq. 4 AW savings estimate from this run's "
                     "residencies: %.1f%%\n",
                     100.0 * model.awSavingsVsMeasured(
-                                r.residency, r.avgCorePower));
+                                out.server->residency,
+                                out.server->avgCorePower));
     }
     return 0;
 }
