@@ -286,10 +286,11 @@ addCapRows(analysis::TableWriter &t, const cap::CapConfig &cap,
 }
 /** @} */
 
-/** Print a fleet run's tables; returns its artifact label. */
+/** Print a fleet run's tables; returns its artifact label. A
+ *  non-flat schedule is a flash crowd when @p flash, else diurnal. */
 std::string
 printFleet(const cluster::FleetConfig &fleet_cfg,
-           const cluster::FleetResult &r)
+           const cluster::FleetResult &r, bool flash)
 {
     std::printf("fleet=%u route=%s workload=%s config=%s "
                 "governor=%s qps=%.0f seed=%llu%s%s\n\n",
@@ -297,7 +298,9 @@ printFleet(const cluster::FleetConfig &fleet_cfg,
                 r.workloadName.c_str(), r.configName.c_str(),
                 fleet_cfg.server.governor.c_str(), r.offeredQps,
                 static_cast<unsigned long long>(fleet_cfg.seed),
-                fleet_cfg.schedule.isFlat() ? "" : " diurnal",
+                fleet_cfg.schedule.isFlat() ? ""
+                : flash                     ? " flash"
+                                            : " diurnal",
                 dvfsNote(fleet_cfg.server).c_str());
 
     analysis::TableWriter t({"metric", "value"});
@@ -614,8 +617,9 @@ main(int argc, char **argv)
 
     const auto out = exp::simulate(run);
 
-    const std::string label = out.fleet ? printFleet(fc, *out.fleet)
-                                        : printServer(fc, *out.server);
+    const std::string label =
+        out.fleet ? printFleet(fc, *out.fleet, flash > 0.0)
+                  : printServer(fc, *out.server);
     if (out.timeline)
         writeTimeline(*out.timeline, label, timeline);
     if (out.trace)
