@@ -140,17 +140,17 @@ struct SweepResult
     /** Coordinate filter for lookups; unset fields match any. */
     struct Query
     {
-        std::optional<std::string> workload;
-        std::optional<std::string> config;
-        std::optional<std::string> governor;
-        std::optional<std::string> freqPolicy;
-        std::optional<double> sloUs;
-        std::optional<double> capWatts;
-        std::optional<std::string> policy;
-        std::optional<std::string> variant;
-        std::optional<unsigned> servers;
-        std::optional<double> qps;
-        std::optional<unsigned> replica;
+        std::optional<std::string> workload{};
+        std::optional<std::string> config{};
+        std::optional<std::string> governor{};
+        std::optional<std::string> freqPolicy{};
+        std::optional<double> sloUs{};
+        std::optional<double> capWatts{};
+        std::optional<std::string> policy{};
+        std::optional<std::string> variant{};
+        std::optional<unsigned> servers{};
+        std::optional<double> qps{};
+        std::optional<unsigned> replica{};
 
         bool matches(const GridPoint &pt) const;
     };

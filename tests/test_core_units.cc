@@ -45,8 +45,9 @@ TEST(UnitInventory, AvxUnitsAreInUfpgDomain)
 {
     const auto inv = UnitInventory::skylakeServer();
     for (const auto &u : inv.units()) {
-        if (u.isAvx)
+        if (u.isAvx) {
             EXPECT_EQ(u.domain, PowerDomain::Ufpg) << u.name;
+        }
     }
 }
 

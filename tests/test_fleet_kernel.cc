@@ -365,8 +365,9 @@ TEST_P(FleetLatencyBits, PooledTripleIsBitExact)
                    c.qps);
     const sim::Tick duration = sim::fromSec(c.seconds);
     const auto r = fleet.run(duration, duration / 10);
-    if (c.reusesIdle)
+    if (c.reusesIdle) {
         EXPECT_GT(r.neverRouted, 1u); // the idle reuse engaged
+    }
     EXPECT_EQ(r.avgLatencyUs, c.avgUs)
         << "avg " << hexfloat(r.avgLatencyUs) << " pinned "
         << hexfloat(c.avgUs);

@@ -228,9 +228,11 @@ TEST(LatencyQoS, AdmissionIsAMonotoneFilter)
             EXPECT_TRUE(in.enabled(id));
             EXPECT_LE(cstate::descriptor(id).transitionTime, budget);
         }
-        for (const auto id : in.enabledStates())
-            if (cstate::descriptor(id).transitionTime <= budget)
+        for (const auto id : in.enabledStates()) {
+            if (cstate::descriptor(id).transitionTime <= budget) {
                 EXPECT_TRUE(out.enabled(id));
+            }
+        }
     }
 }
 

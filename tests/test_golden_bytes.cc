@@ -142,8 +142,8 @@ TEST_P(GoldenBytes, TraceAttributionCsvMatchesGolden)
     // The aw-trace/1 attribution artifact itself is pinned (and
     // thread-count invariant): regenerate with
     //
-    //   awsweep --configs aw,c1c6 --policies round-robin,pack-first \
-    //           --fleet 8 --qps 400000 --seconds 0.3 \
+    //   awsweep --configs aw,c1c6 --policies round-robin,pack-first
+    //           --fleet 8 --qps 400000 --seconds 0.3
     //           --trace-requests trace_attribution.csv --quiet
     auto spec = fleetSpec();
     spec.traceRequests = true;

@@ -154,8 +154,9 @@ TEST_P(GovernorSweep, TargetResidencyRespected)
     }
     // And no deeper enabled state would also fit.
     for (const auto id : gov.config().enabledStates()) {
-        if (descriptor(id).depth > descriptor(chosen).depth)
+        if (descriptor(id).depth > descriptor(chosen).depth) {
             EXPECT_GT(descriptor(id).targetResidency, predicted);
+        }
     }
 }
 

@@ -242,8 +242,9 @@ TEST(RequestTracer, SpansTileLatencyExactlyOnARealServerRun)
         EXPECT_EQ(span.routing() + span.queueWait() + span.wake +
                       span.service(),
                   span.latency());
-        if (span.wake > 0)
+        if (span.wake > 0) {
             EXPECT_NE(span.wakeFrom, cstate::CStateId::C0);
+        }
         // Completion-ordered, inside the measured window.
         EXPECT_GE(span.completion, prev_completion);
         prev_completion = span.completion;
@@ -272,8 +273,9 @@ TEST(RequestTracer, StaticC6ConfigAttributesWakesToC6)
     EXPECT_GT(attr.all.wakeCount[c6], 0u);
     EXPECT_GT(attr.all.wakeShare, 0.0);
     for (std::size_t st = 0; st < cstate::kNumCStates; ++st) {
-        if (st != c6)
+        if (st != c6) {
             EXPECT_EQ(attr.all.wakeCount[st], 0u) << "state " << st;
+        }
     }
     for (const auto &w : s.wakes)
         EXPECT_EQ(w.from, cstate::CStateId::C6);

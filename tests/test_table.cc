@@ -65,8 +65,9 @@ TEST(Table, NoTrailingWhitespace)
     for (const auto &line : {t.render()}) {
         std::size_t pos = 0;
         while ((pos = line.find('\n', pos)) != std::string::npos) {
-            if (pos > 0)
+            if (pos > 0) {
                 EXPECT_NE(line[pos - 1], ' ');
+            }
             ++pos;
         }
     }

@@ -255,8 +255,9 @@ TEST(TransitionIntegration, GovernorObserveIdleMatchesGroundTruth)
         EXPECT_GT(series.idleObservedTotal, 0u);
         // Mispredicts happened, so the tricky observation path (the
         // arrival interrupts a transition window) was exercised.
-        if (!promotion)
+        if (!promotion) {
             EXPECT_GT(r.mispredictedEntries, 0u);
+        }
     }
 }
 
