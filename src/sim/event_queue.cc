@@ -12,6 +12,22 @@ Simulator::panicScheduledInPast(Tick when, Tick now)
           static_cast<unsigned long long>(now));
 }
 
+void
+EventQueue::compact()
+{
+    std::size_t kept = 0;
+    for (const Key &k : _heap) {
+        if (slotAt(k.slot).live)
+            _heap[kept++] = k;
+        else
+            _freeSlots.push_back(k.slot);
+    }
+    _heap.resize(kept);
+    // Every key past the last parent, (kept - 2) / 4, is a leaf.
+    for (std::size_t i = kept > 1 ? (kept - 2) / 4 + 1 : 0; i-- > 0;)
+        siftDown(i);
+}
+
 Tick
 Simulator::run(Tick horizon)
 {

@@ -17,7 +17,11 @@
  *    constructed, invoked and destroyed in place (zero moves and
  *    zero allocations per steady-state event; see sim/callback.hh);
  *  - cancellation is an O(1) slot invalidation -- no hash table
- *    anywhere in the kernel.
+ *    anywhere in the kernel -- and the heap stays within a constant
+ *    factor of the live events: once cancelled keys outnumber live
+ *    ones by more than kCompactSlack, one linear pass filters them
+ *    out and re-heapifies, so a long-dated timer cancelled early
+ *    (an idle core's promotion check) costs no sift work afterwards.
  *
  * The pop order is the strict total order (when, seq), so none of
  * these layout choices can affect simulation results.
@@ -48,9 +52,10 @@ constexpr EventId kInvalidEventId = 0;
  * Events scheduled for the same tick fire in scheduling order (FIFO,
  * enforced by a per-queue monotonic sequence counter). Cancellation
  * invalidates the event's slot immediately -- the callback is
- * destroyed right away -- and the stale heap key is skipped when it
- * surfaces. Cancelling an id that already fired (or was never
- * scheduled) is a harmless no-op.
+ * destroyed right away. Its heap key is dropped when it surfaces or,
+ * if cancelled keys pile up first, by a compaction: the heap never
+ * holds more than 2 * size() + kCompactSlack keys. Cancelling an id
+ * that already fired (or was never scheduled) is a harmless no-op.
  */
 class EventQueue
 {
@@ -94,11 +99,12 @@ class EventQueue
         if (!s.live || s.gen != genOf(id))
             return;
         // Invalidate now (the callback and its captures die here);
-        // the heap key is skipped lazily when it reaches the top.
+        // the heap key stays until it surfaces or a compaction.
         s.live = false;
         ++s.gen;
         s.cb.reset();
         --_live;
+        compactIfSparse();
     }
 
     /** @return true if a schedule()d event has neither fired nor been
@@ -118,6 +124,14 @@ class EventQueue
 
     /** Number of live events still queued. */
     std::size_t size() const { return _live; }
+
+    /** Heap keys held, live and cancelled: at most
+     *  2 * size() + kCompactSlack. */
+    std::size_t keyCount() const { return _heap.size(); }
+
+    /** Cancelled keys tolerated beyond the live count before the
+     *  heap is compacted. */
+    static constexpr std::size_t kCompactSlack = 32;
 
     /**
      * Tick of the next live event.
@@ -155,6 +169,7 @@ class EventQueue
         ++s.gen;
         _freeSlots.push_back(top.slot);
         --_live;
+        compactIfSparse();
         return out;
     }
 
@@ -182,6 +197,7 @@ class EventQueue
         s.live = false; // the id dies before the closure runs
         ++s.gen;
         --_live;
+        compactIfSparse();
         before(top.when);
         s.cb(); // stable slab address: safe against new schedules
         s.cb.reset();
@@ -316,6 +332,30 @@ class EventQueue
             siftDown(0);
     }
     /** @} */
+
+    /**
+     * Filter every cancelled key out of the heap once they outnumber
+     * the live ones by more than kCompactSlack, then re-heapify
+     * bottom-up. A pass runs only when cancelled keys are the
+     * majority, and each of them is a cancel() since the last pass,
+     * so its linear cost is O(1) amortized per cancel; a queue that
+     * never cancels never compacts.
+     *
+     * Safe from inside a firing closure: the firing slot has already
+     * left the heap and is not on _freeSlots, so it is untouched. A
+     * cancelled slot returns to _freeSlots only here or in
+     * skipCancelled(), i.e. only once its key has left the heap.
+     */
+    void
+    compactIfSparse()
+    {
+        if (_heap.size() - _live > _live + kCompactSlack)
+            compact();
+    }
+
+    /** The pass itself, out of line so it stays off the inlined
+     *  fire path. */
+    void compact();
 
     /** Drop cancelled keys sitting at the top of the heap. */
     void

@@ -199,6 +199,18 @@ TEST(AwperfTool, UnknownScenarioFailsWithKnownList)
     EXPECT_NE(out.find("fleet_sweep"), std::string::npos);
 }
 
+TEST(AwperfTool, MalformedRepeatFails)
+{
+    // Parsed before --list runs, so a bad count must stop the tool
+    // even on a listing.
+    for (const char *bad : {"-1", "2x", "0"}) {
+        const auto [code, out] = runCommand(
+            std::string(AWPERF_BIN) + " --repeat " + bad + " --list");
+        EXPECT_NE(code, 0) << bad;
+        EXPECT_NE(out.find("--repeat"), std::string::npos) << bad;
+    }
+}
+
 TEST(AwperfTool, JsonArtifactMatchesTheLibraryRendering)
 {
     const std::string path = tmpPath("awperf_schema_test.json");

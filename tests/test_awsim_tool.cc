@@ -176,7 +176,11 @@ INSTANTIATE_TEST_SUITE_P(
         BadFlag{"--fleet 8 --epoch 0", "positive"},
         BadFlag{"--fleet 8 --epoch -0.5", "positive"},
         BadFlag{"--fleet-threads 2", "requires --fleet"},
-        BadFlag{"--epoch 0.1", "requires --fleet"}));
+        BadFlag{"--epoch 0.1", "requires --fleet"},
+        BadFlag{"--fleet 2 --estimate-aw", "single-server only"},
+        BadFlag{"--fleet 2 --diurnal-period 0.5", "needs a load shape"},
+        BadFlag{"--fleet 2 --diurnal 0 --diurnal-period 0.5",
+                "needs a load shape"}));
 
 TEST(AwsimTool, DeterministicForFixedSeed)
 {

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <random>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -364,6 +366,169 @@ TEST(EventQueueFifo, SelfCancelDuringCallbackIsANoop)
     simr.run();
     EXPECT_EQ(fired, 2);
     EXPECT_TRUE(simr.idle());
+}
+
+// Compaction: cancelled keys must stop costing heap work once they
+// outnumber the live ones, without moving the (when, seq) fire order
+// or recycling a slot whose key is still in the heap.
+
+TEST(EventQueueCompaction, CancelledTimersAreEvictedFromTheHeap)
+{
+    // The idle-promotion pattern: every live event arms a long-dated
+    // timer that is cancelled long before it is due.
+    EventQueue q;
+    std::vector<EventId> timers;
+    for (int i = 0; i < 1000; ++i) {
+        q.schedule(10 + i, [] {});
+        timers.push_back(q.schedule(1000000 + i, [] {}));
+        q.cancel(timers.back());
+        EXPECT_LE(q.keyCount(), 2 * q.size() + EventQueue::kCompactSlack)
+            << "after cancel " << i;
+    }
+    EXPECT_EQ(q.size(), 1000u);
+    for (const EventId id : timers)
+        EXPECT_FALSE(q.pending(id));
+    Tick last = 0;
+    while (!q.empty()) {
+        const auto ev = q.pop();
+        EXPECT_LT(ev.when, 1000000u);
+        EXPECT_GT(ev.when, last);
+        last = ev.when;
+        EXPECT_LE(q.keyCount(), 2 * q.size() + EventQueue::kCompactSlack);
+    }
+}
+
+TEST(EventQueueCompaction, DrainingLiveEventsKeepsTheKeyBound)
+{
+    // Cancels alone stay under the trigger; the pops that follow
+    // shrink the live count until the cancelled keys dominate.
+    EventQueue q;
+    for (int i = 0; i < 40; ++i)
+        q.schedule(1 + i, [] {});
+    for (int i = 0; i < 60; ++i)
+        q.cancel(q.schedule(500 + i, [] {}));
+    EXPECT_EQ(q.keyCount(), 100u);
+    while (!q.empty()) {
+        q.pop().cb();
+        EXPECT_LE(q.keyCount(), 2 * q.size() + EventQueue::kCompactSlack);
+    }
+    EXPECT_EQ(q.nextTick(), kMaxTick);
+    EXPECT_EQ(q.keyCount(), 0u);
+}
+
+TEST(EventQueueCompaction, RandomScheduleCancelMatchesAReferenceModel)
+{
+    // Seeded random interleavings of schedule and cancel, from
+    // outside the run loop and from inside firing closures, checked
+    // against a std::set of pending (when, seq) keys: the kernel must
+    // fire exactly the model's events in the model's order while
+    // holding at most 2 * size() + kCompactSlack keys.
+    Simulator simr;
+    EventQueue &q = simr.queue();
+    std::mt19937_64 rng(20221001);
+    auto draw = [&rng](std::uint64_t n) { return rng() % n; };
+
+    using Key = std::pair<Tick, std::uint64_t>; // (when, seq)
+    std::set<Key> model;       // pending events
+    std::set<Key> lazyCancels; // keys a lazy-only heap would still hold
+    std::vector<std::pair<EventId, Key>> handles;
+    std::uint64_t seq = 0;
+    std::uint64_t fired = 0;
+    std::uint64_t cancelled = 0;
+    std::size_t maxKeys = 0;
+    std::size_t maxLazyKeys = 0;
+
+    auto checkBound = [&] {
+        EXPECT_EQ(q.size(), model.size());
+        EXPECT_LE(q.keyCount(),
+                  2 * q.size() + EventQueue::kCompactSlack);
+        maxKeys = std::max(maxKeys, q.keyCount());
+        maxLazyKeys =
+            std::max(maxLazyKeys, model.size() + lazyCancels.size());
+    };
+
+    std::function<std::pair<EventId, Key>(Tick)> arm;
+    std::vector<std::pair<EventId, Key>> timers; // armed, far-future
+    auto cancel = [&](EventId id, const Key &key) {
+        ASSERT_EQ(q.pending(id), model.count(key) == 1);
+        if (model.erase(key) == 1) {
+            lazyCancels.insert(key);
+            ++cancelled;
+        }
+        simr.cancel(id);
+        checkBound();
+    };
+    auto act = [&] {
+        const Tick now = simr.now();
+        switch (draw(8)) {
+          case 0:
+          case 1: // far-future timer, usually cancelled before due
+            timers.push_back(arm(now + 4000 + draw(4000)));
+            break;
+          case 2: // same-tick ties, including the current tick
+            arm(now + draw(2));
+            arm(now + draw(2));
+            break;
+          case 3: // near event
+            arm(now + 1 + draw(50));
+            break;
+          default: // half of all actions cancel
+            if (!timers.empty() && draw(8) != 0) {
+                // The promotion pattern: cancel an armed timer.
+                const std::size_t i = draw(timers.size());
+                const auto [id, key] = timers[i];
+                timers[i] = timers.back();
+                timers.pop_back();
+                cancel(id, key);
+            } else if (!handles.empty()) {
+                // Any recent event; stale ids included.
+                const auto &[id, key] = handles[draw(handles.size())];
+                cancel(id, key);
+            }
+            break;
+        }
+    };
+    arm = [&](Tick when) {
+        const Key key{when, seq++};
+        const EventId id = simr.schedule(when, [&, key] {
+            ASSERT_FALSE(model.empty());
+            EXPECT_EQ(*model.begin(), key) << "fired out of order";
+            model.erase(model.begin());
+            lazyCancels.erase(lazyCancels.begin(),
+                              lazyCancels.lower_bound(key));
+            ++fired;
+            checkBound();
+            // Closures schedule and cancel too, compaction included.
+            if (seq < 40000) {
+                const std::uint64_t n = draw(3);
+                for (std::uint64_t j = 0; j < n; ++j)
+                    act();
+            }
+        });
+        model.insert(key);
+        handles.emplace_back(id, key);
+        if (handles.size() > 64)
+            handles.erase(handles.begin(), handles.begin() + 32);
+        checkBound();
+        return std::pair{id, key};
+    };
+
+    for (int round = 0; round < 400; ++round) {
+        for (int j = 0; j < 40; ++j)
+            act();
+        simr.run(simr.now() + 1 + draw(30));
+    }
+    simr.run();
+
+    EXPECT_TRUE(model.empty());
+    EXPECT_TRUE(simr.idle());
+    EXPECT_EQ(fired + cancelled, seq);
+    EXPECT_EQ(simr.eventsExecuted(), fired);
+    EXPECT_GT(cancelled, seq / 4);
+    // Without compaction the heap would have grown far past the
+    // bound the kernel kept.
+    EXPECT_GT(maxLazyKeys, 4 * maxKeys)
+        << "maxLazyKeys=" << maxLazyKeys << " maxKeys=" << maxKeys;
 }
 
 } // namespace

@@ -75,8 +75,7 @@ main(int argc, char **argv)
         } else if (arg == "--scenarios" || arg == "--scenario") {
             names = exp::splitList(next(arg.c_str()));
         } else if (arg == "--repeat") {
-            repeat = static_cast<unsigned>(
-                std::strtoul(next("--repeat"), nullptr, 10));
+            repeat = exp::parseUnsigned("--repeat", next("--repeat"));
             if (repeat == 0)
                 sim::fatal("--repeat must be >= 1");
         } else if (arg == "--json") {

@@ -86,7 +86,9 @@ usage()
         "  --packing         CARB-style packing dispatch\n"
         "  --package         enable PC2/PC6 package states\n"
         "  --pn              run the active state at Pn (0.8 GHz)\n"
-        "  --estimate-aw     also print the Eq. 4 AW estimate\n"
+        "  --estimate-aw     also print the Eq. 4 AW estimate "
+        "(single\n"
+        "                    server only)\n"
         "  --trace FILE      replay inter-arrival gaps from FILE\n"
         "                    (CSV, one gap in us per value; loops)\n"
         "  --timeline FILE   write the run's interval telemetry as\n"
@@ -119,7 +121,8 @@ usage()
         "  --diurnal A       sinusoidal diurnal load, amplitude A "
         "in [0,1]\n"
         "  --diurnal-period S  length of one simulated \"day\" "
-        "(default 1 s)\n"
+        "(default 1 s;\n"
+        "                    needs --diurnal or --flash)\n"
         "  --flash SPIKE     flash-crowd load: SPIKE x the base "
         "rate\n"
         "                    for the middle quarter of each "
@@ -431,6 +434,7 @@ main(int argc, char **argv)
     bool estimate_aw = false;
     double diurnal = 0.0;
     double diurnal_period = 1.0;
+    bool diurnal_period_set = false;
     double flash = 0.0;
     TimelineOpts timeline;
     TraceOpts reqtrace;
@@ -541,6 +545,7 @@ main(int argc, char **argv)
         } else if (arg == "--diurnal-period") {
             diurnal_period = parseDouble("--diurnal-period",
                                          next("--diurnal-period"));
+            diurnal_period_set = true;
             fleet_flag = "--diurnal-period";
         } else if (arg == "--flash") {
             flash = parseDouble("--flash", next("--flash"));
@@ -592,6 +597,9 @@ main(int argc, char **argv)
 
     if (fc.servers == 0 && fleet_flag)
         sim::fatal("%s requires --fleet N", fleet_flag);
+    if (fc.servers > 0 && estimate_aw)
+        sim::fatal("--estimate-aw is single-server only (it reads "
+                   "one server's residencies); drop --fleet");
     if (timeline.enabled() && timeline.intervalSeconds <= 0.0)
         timeline.intervalSeconds = 0.01;
     if (!timeline.enabled() && timeline.intervalSeconds > 0.0)
@@ -601,6 +609,9 @@ main(int argc, char **argv)
         sim::fatal("--diurnal: amplitude must be in [0, 1]");
     if ((diurnal > 0.0 || flash > 0.0) && diurnal_period <= 0.0)
         sim::fatal("--diurnal-period: must be positive");
+    if (diurnal_period_set && diurnal == 0.0 && flash == 0.0)
+        sim::fatal("--diurnal-period needs a load shape (--diurnal "
+                   "or --flash)");
     if (diurnal > 0.0 && flash > 0.0)
         sim::fatal("--flash conflicts with --diurnal (pick one "
                    "load shape)");
