@@ -25,6 +25,9 @@ fi
 cmake --build "$BUILD_DIR" -j"$(nproc)"
 
 mkdir -p "$RESULTS_DIR"
+# Absolute from here on: the awsweep steps run inside RESULTS_DIR.
+BUILD_DIR="$(cd "$BUILD_DIR" && pwd)"
+RESULTS_DIR="$(cd "$RESULTS_DIR" && pwd)"
 
 shopt -s nullglob
 benches=("$BUILD_DIR"/bench_*)
@@ -63,6 +66,17 @@ for i in "${!pids[@]}"; do
     fi
 done
 
+# Run awsweep inside RESULTS_DIR, so its "artifacts:" line names the
+# files relative to it, and drop the host wall time from its summary
+# header: two reproductions' text outputs then compare with a plain
+# diff. Usage: sweep_to TXT_NAME AWSWEEP_ARGS...
+sweep_to() {
+    local txt="$1"
+    shift
+    (cd "$RESULTS_DIR" && "$AWSWEEP" "$@" 2>&1) \
+        | sed -E 's/ wall=[0-9.]+s//' >"$RESULTS_DIR/$txt"
+}
+
 # Fleet sweep: the routing-policy x config grid behind docs/FLEET.md,
 # via the awsweep experiment engine (8 servers, AW vs tuned C6, all
 # four policies), emitting both the summary table and the CSV
@@ -71,14 +85,13 @@ AWSWEEP="$BUILD_DIR/awsweep"
 if [ -x "$AWSWEEP" ]; then
     echo "[reproduce] awsweep fleet sweep ->" \
          "results/fleet_policies.{txt,csv}"
-    if ! "$AWSWEEP" \
+    if ! sweep_to fleet_policies.txt \
             --workloads memcached \
             --configs aw,c1c6 \
             --policies round-robin,random,least-outstanding,pack-first \
             --fleet 8 --qps 400000 --seconds 0.3 \
             --threads "$JOBS" \
-            --csv "$RESULTS_DIR/fleet_policies.csv" \
-            >"$RESULTS_DIR/fleet_policies.txt" 2>&1; then
+            --csv fleet_policies.csv; then
         echo "[reproduce] FAILED: awsweep fleet sweep" \
              "(see results/fleet_policies.txt)" >&2
         failed=1
@@ -94,15 +107,14 @@ fi
 if [ -x "$AWSWEEP" ]; then
     echo "[reproduce] awsweep tail attribution ->" \
          "results/trace_attribution.{txt,csv,json}"
-    if ! "$AWSWEEP" \
+    if ! sweep_to trace_attribution.txt \
             --workloads memcached \
             --configs aw_c6a,c1c6 \
             --policies round-robin \
             --fleet 8 --qps 100000 --seconds 0.3 \
             --threads "$JOBS" \
-            --trace-requests "$RESULTS_DIR/trace_attribution.csv" \
-            --trace-requests-json "$RESULTS_DIR/trace_attribution.json" \
-            >"$RESULTS_DIR/trace_attribution.txt" 2>&1; then
+            --trace-requests trace_attribution.csv \
+            --trace-requests-json trace_attribution.json; then
         echo "[reproduce] FAILED: awsweep tail attribution" \
              "(see results/trace_attribution.txt)" >&2
         failed=1

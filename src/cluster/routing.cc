@@ -1,6 +1,7 @@
 #include "cluster/routing.hh"
 
 #include "sim/logging.hh"
+#include "sim/registry.hh"
 
 namespace aw::cluster {
 
@@ -92,30 +93,42 @@ RouteToHeadroomRouting::route(const FleetView &view, sim::Rng &)
     return best;
 }
 
+namespace {
+
+using Factory = std::unique_ptr<RoutingPolicy> (*)(unsigned pack_capacity);
+
+template <typename R>
+std::unique_ptr<RoutingPolicy>
+build(unsigned)
+{
+    return std::make_unique<R>();
+}
+
+const sim::RegistryEntry<Factory> kRoutingPolicies[] = {
+    {"round-robin", &build<RoundRobinRouting>},
+    {"random", &build<RandomRouting>},
+    {"least-outstanding", &build<LeastOutstandingRouting>},
+    {"pack-first",
+     [](unsigned pack_capacity) -> std::unique_ptr<RoutingPolicy> {
+         return std::make_unique<PackFirstRouting>(pack_capacity);
+     }},
+    {"route-to-headroom", &build<RouteToHeadroomRouting>},
+};
+
+} // namespace
+
 std::unique_ptr<RoutingPolicy>
 makeRoutingPolicy(const std::string &name, unsigned pack_capacity)
 {
-    if (name == "round-robin")
-        return std::make_unique<RoundRobinRouting>();
-    if (name == "random")
-        return std::make_unique<RandomRouting>();
-    if (name == "least-outstanding")
-        return std::make_unique<LeastOutstandingRouting>();
-    if (name == "pack-first")
-        return std::make_unique<PackFirstRouting>(pack_capacity);
-    if (name == "route-to-headroom")
-        return std::make_unique<RouteToHeadroomRouting>();
-    sim::fatal("unknown routing policy '%s' (round-robin|random|"
-               "least-outstanding|pack-first|route-to-headroom)",
-               name.c_str());
+    return sim::byName(kRoutingPolicies, name, "routing policy")(
+        pack_capacity);
 }
 
 const std::vector<std::string> &
 routingPolicyNames()
 {
-    static const std::vector<std::string> names{
-        "round-robin", "random", "least-outstanding", "pack-first",
-        "route-to-headroom"};
+    static const std::vector<std::string> names =
+        sim::registryNames(kRoutingPolicies);
     return names;
 }
 

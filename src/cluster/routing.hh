@@ -153,15 +153,15 @@ class RouteToHeadroomRouting : public RoutingPolicy
 };
 
 /**
- * Build a policy by name: "round-robin", "random",
- * "least-outstanding", "pack-first" or "route-to-headroom".
- * @p pack_capacity is the PackFirstRouting spill threshold (ignored
- * by the others). Unknown names are fatal().
+ * Build a policy by name through the one name table of policies
+ * (routingPolicyNames()). @p pack_capacity is the PackFirstRouting
+ * spill threshold (ignored by the others). Unknown names are
+ * fatal() with the known list.
  */
 std::unique_ptr<RoutingPolicy>
 makeRoutingPolicy(const std::string &name, unsigned pack_capacity);
 
-/** All routing policy names, for CLIs and sweeps. */
+/** The table's policy names, for CLIs and sweeps. */
 const std::vector<std::string> &routingPolicyNames();
 
 } // namespace aw::cluster

@@ -8,8 +8,8 @@
  * implementation -- a Linux-menu-style predictor feeding a
  * deepest-affordable-state selection. The other built-in policies
  * (teo, ladder, static:<state>, oracle) live in
- * cstate/governors.hh together with the string-keyed registry that
- * builds any of them from a spec like "menu" or "static:C6A".
+ * cstate/governors.hh together with the name table that builds
+ * any of them from a spec like "menu" or "static:C6A".
  *
  * The paper's core claim (Sec 1) is that servers "rarely enter a
  * deep idle power state" because the OS governor's mispredictions

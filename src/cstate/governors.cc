@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
+#include "sim/registry.hh"
 
 namespace aw::cstate {
 
@@ -202,7 +203,7 @@ OracleGovernor::clone() const
     return std::make_unique<OracleGovernor>(config());
 }
 
-// ------------------------------------------------- GovernorRegistry
+// ------------------------------------------------------ name table
 
 GovernorSpec
 parseGovernorSpec(const std::string &spec)
@@ -219,111 +220,51 @@ parseGovernorSpec(const std::string &spec)
 
 namespace {
 
-/** Argless kinds reject a stray ":arg" instead of silently running
- *  unparameterized under a mislabeled spec. */
-void
-requireNoArg(const char *kind, const std::string &arg)
+using Factory = std::unique_ptr<GovernorPolicy> (*)(
+    const std::string &arg, const CStateConfig &config);
+
+/** An argless kind: rejects a stray ":arg" instead of silently
+ *  running unparameterized under a mislabeled spec. */
+template <typename G>
+std::unique_ptr<GovernorPolicy>
+argless(const std::string &arg, const CStateConfig &config)
 {
+    auto policy = std::make_unique<G>(config);
     if (!arg.empty())
         sim::fatal("governor '%s' takes no argument (got '%s:%s')",
-                   kind, kind, arg.c_str());
+                   policy->spec().c_str(), policy->spec().c_str(),
+                   arg.c_str());
+    return policy;
 }
+
+const sim::RegistryEntry<Factory> kGovernors[] = {
+    {"menu", &argless<MenuGovernor>},
+    {"teo", &argless<TeoGovernor>},
+    {"ladder", &argless<LadderGovernor>},
+    {"static",
+     [](const std::string &arg, const CStateConfig &config)
+         -> std::unique_ptr<GovernorPolicy> {
+         return std::make_unique<StaticGovernor>(config, arg);
+     }},
+    {"oracle", &argless<OracleGovernor>},
+};
 
 } // namespace
-
-GovernorRegistry::GovernorRegistry()
-{
-    add("menu", "menu-style predictor (default)",
-        [](const std::string &arg, const CStateConfig &config) {
-            requireNoArg("menu", arg);
-            return std::make_unique<MenuGovernor>(config);
-        });
-    add("teo", "timer-events-oriented recent-intercept bins",
-        [](const std::string &arg, const CStateConfig &config) {
-            requireNoArg("teo", arg);
-            return std::make_unique<TeoGovernor>(config);
-        });
-    add("ladder", "step up on consecutive hits, down on a miss",
-        [](const std::string &arg, const CStateConfig &config) {
-            requireNoArg("ladder", arg);
-            return std::make_unique<LadderGovernor>(config);
-        });
-    add("static",
-        "always static:<state> (C1|...|C6|deepest|shallowest)",
-        [](const std::string &arg, const CStateConfig &config) {
-            return std::make_unique<StaticGovernor>(config, arg);
-        });
-    add("oracle", "clairvoyant upper bound (single-server only)",
-        [](const std::string &arg, const CStateConfig &config) {
-            requireNoArg("oracle", arg);
-            return std::make_unique<OracleGovernor>(config);
-        });
-}
-
-GovernorRegistry &
-GovernorRegistry::instance()
-{
-    static GovernorRegistry registry;
-    return registry;
-}
-
-void
-GovernorRegistry::add(const std::string &kind,
-                      const std::string &summary, Factory factory)
-{
-    for (const auto &k : _kinds)
-        if (k == kind)
-            sim::fatal("governor kind '%s' registered twice",
-                       kind.c_str());
-    _kinds.push_back(kind);
-    _entries.push_back(Entry{summary, std::move(factory)});
-}
-
-std::unique_ptr<GovernorPolicy>
-GovernorRegistry::make(const std::string &spec,
-                       const CStateConfig &config) const
-{
-    const auto parsed = parseGovernorSpec(spec);
-    for (std::size_t i = 0; i < _kinds.size(); ++i)
-        if (_kinds[i] == parsed.kind)
-            return _entries[i].factory(parsed.arg, config);
-    sim::fatal("unknown governor '%s' (%s)", spec.c_str(),
-               describeKinds().c_str());
-}
-
-std::string
-GovernorRegistry::summary(const std::string &kind) const
-{
-    for (std::size_t i = 0; i < _kinds.size(); ++i)
-        if (_kinds[i] == kind)
-            return _entries[i].summary;
-    return "";
-}
-
-std::string
-GovernorRegistry::describeKinds() const
-{
-    std::string out;
-    for (const auto &kind : _kinds) {
-        if (!out.empty())
-            out += '|';
-        out += kind;
-        if (kind == "static")
-            out += ":<state>";
-    }
-    return out;
-}
 
 std::unique_ptr<GovernorPolicy>
 makeGovernor(const std::string &spec, const CStateConfig &config)
 {
-    return GovernorRegistry::instance().make(spec, config);
+    const auto parsed = parseGovernorSpec(spec);
+    return sim::byName(kGovernors, parsed.kind, "governor")(parsed.arg,
+                                                            config);
 }
 
 const std::vector<std::string> &
 governorKinds()
 {
-    return GovernorRegistry::instance().kinds();
+    static const std::vector<std::string> kinds =
+        sim::registryNames(kGovernors);
+    return kinds;
 }
 
 } // namespace aw::cstate

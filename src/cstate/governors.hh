@@ -1,7 +1,7 @@
 /**
  * @file
  * The built-in idle-governance policies beyond "menu", and the
- * string-keyed registry that builds any policy from a spec.
+ * name table that builds any policy from a spec.
  *
  * Spec grammar: `kind[:arg]`. The built-in kinds:
  *
@@ -22,8 +22,8 @@
  *                    length by the simulator; the upper bound that
  *                    isolates governor error from transition cost
  *
- * New policies register a factory under a new kind (see
- * GovernorRegistry::add and docs/GOVERNORS.md).
+ * A new policy is one more row of the kind table in governors.cc
+ * (see docs/GOVERNORS.md).
  */
 
 #ifndef AW_CSTATE_GOVERNORS_HH
@@ -31,7 +31,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -201,60 +200,14 @@ struct GovernorSpec
 GovernorSpec parseGovernorSpec(const std::string &spec);
 
 /**
- * Name -> factory registry for idle-governance policies. The five
- * built-ins are pre-registered; extensions add a kind once at
- * startup and every consumer of specs (ServerConfig, ExperimentSpec
- * axes, awsim/awsweep flags) can build it.
+ * Build a policy from a spec like "menu" or "static:C6A" through the
+ * one name table of kinds; unknown kinds are fatal() with the known
+ * list, and argless kinds reject a stray ":arg".
  */
-class GovernorRegistry
-{
-  public:
-    /** Build a policy for @p config from the spec's argument part. */
-    using Factory = std::function<std::unique_ptr<GovernorPolicy>(
-        const std::string &arg, const CStateConfig &config)>;
-
-    /** The process-wide registry (built-ins pre-registered). */
-    static GovernorRegistry &instance();
-
-    /**
-     * Register a policy kind. @p summary is the one-line help text
-     * CLIs print. Duplicate kinds are fatal().
-     */
-    void add(const std::string &kind, const std::string &summary,
-             Factory factory);
-
-    /** Build a policy from a spec like "menu" or "static:C6A";
-     *  unknown kinds are fatal() with the known list. */
-    std::unique_ptr<GovernorPolicy>
-    make(const std::string &spec, const CStateConfig &config) const;
-
-    /** Registered kinds, in registration order. */
-    const std::vector<std::string> &kinds() const { return _kinds; }
-
-    /** One-line summary for @p kind (empty if unknown). */
-    std::string summary(const std::string &kind) const;
-
-    /** "menu|teo|ladder|static:<state>|oracle" for diagnostics. */
-    std::string describeKinds() const;
-
-  private:
-    GovernorRegistry();
-
-    struct Entry
-    {
-        std::string summary;
-        Factory factory;
-    };
-
-    std::vector<std::string> _kinds;
-    std::vector<Entry> _entries; //!< parallel to _kinds
-};
-
-/** Convenience: GovernorRegistry::instance().make(spec, config). */
 std::unique_ptr<GovernorPolicy>
 makeGovernor(const std::string &spec, const CStateConfig &config);
 
-/** Convenience: the registered kinds. */
+/** The table's kinds, in table order. */
 const std::vector<std::string> &governorKinds();
 
 } // namespace aw::cstate

@@ -176,13 +176,13 @@ makeScenarios()
             return sweepTotals(spec);
         }});
 
-    // The power-capping axis (ROADMAP item 3): a capped flash
-    // crowd through the headroom-routed fleet. Gates the cap
-    // control loop's hot path -- per-interval controller steps,
-    // forced-idle nap injection, the closed-form RC thermal
+    // The power-capping axis (the ROADMAP item on power caps): a
+    // capped flash crowd through the headroom-routed fleet. Gates
+    // the cap control loop's hot path -- per-interval controller
+    // steps, forced-idle nap injection, the closed-form RC thermal
     // integration and the epoch budget redistribution -- under the
-    // load shape capping exists for: a surge the provisioned
-    // budget cannot absorb at full speed.
+    // load shape capping exists for: a surge the provisioned budget
+    // cannot absorb at full speed.
     s.push_back(PerfScenario{
         "fleet_sweep_cap",
         "4-server capped flash crowd (3x spike) x {aw_c6a,c1c6} @ "
@@ -209,12 +209,13 @@ makeScenarios()
             return t;
         }});
 
-    // Warehouse scale (ROADMAP item 1): a 10,000-server diurnal
-    // memcached "day" through the epoch-parallel fleet kernel, as
-    // the two paired headline points -- the AW config consolidated
-    // by pack-first (mostly-idle fleet: the homogeneous-idle fast
-    // path carries almost every server) and the tuned-C6 baseline
-    // spread by round-robin (10k individually simulated servers).
+    // Warehouse scale (the fleet size of hostbench's fleet_day
+    // workloads): a 10,000-server diurnal memcached "day" through
+    // the epoch-parallel fleet kernel, as the two paired headline
+    // points -- the AW config consolidated by pack-first (mostly-
+    // idle fleet: the homogeneous-idle fast path carries almost
+    // every server) and the tuned-C6 baseline spread by round-robin
+    // (10k individually simulated servers).
     // Hardware fleet threads, 0.25 s routing epochs; results are
     // bit-identical to the serial reference either way.
     s.push_back(PerfScenario{

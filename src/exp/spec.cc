@@ -5,105 +5,59 @@
 #include "exp/axis.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
+#include "sim/registry.hh"
 
 namespace aw::exp {
 
 namespace {
 
-/** One registry table per axis: the lookup functions and the
- *  advertised name lists both derive from it, so a new entry can
- *  never be half-registered. */
-template <typename T> struct RegistryEntry
-{
-    const char *name;
-    T (*make)();
+using workload::WorkloadProfile;
+using server::ServerConfig;
+
+const sim::RegistryEntry<WorkloadProfile (*)()> kWorkloads[] = {
+    {"memcached", &WorkloadProfile::memcached},
+    {"mysql", &WorkloadProfile::mysql},
+    {"kafka", &WorkloadProfile::kafka},
+    {"specpower", &WorkloadProfile::specpower},
+    {"nginx", &WorkloadProfile::nginx},
+    {"spark", &WorkloadProfile::spark},
+    {"hive", &WorkloadProfile::hive},
 };
 
-const std::vector<RegistryEntry<workload::WorkloadProfile>> &
-workloadRegistry()
-{
-    using workload::WorkloadProfile;
-    static const std::vector<RegistryEntry<WorkloadProfile>> reg{
-        {"memcached", &WorkloadProfile::memcached},
-        {"mysql", &WorkloadProfile::mysql},
-        {"kafka", &WorkloadProfile::kafka},
-        {"specpower", &WorkloadProfile::specpower},
-        {"nginx", &WorkloadProfile::nginx},
-        {"spark", &WorkloadProfile::spark},
-        {"hive", &WorkloadProfile::hive},
-    };
-    return reg;
-}
-
-const std::vector<RegistryEntry<server::ServerConfig>> &
-configRegistry()
-{
-    using server::ServerConfig;
-    static const std::vector<RegistryEntry<ServerConfig>> reg{
-        {"baseline", &ServerConfig::baseline},
-        {"aw", &ServerConfig::awBaseline},
-        {"nt_baseline", &ServerConfig::ntBaseline},
-        {"nt_no_c6", &ServerConfig::ntNoC6},
-        {"nt_no_c6_no_c1e", &ServerConfig::ntNoC6NoC1e},
-        {"nt_aw", &ServerConfig::ntAwNoC6NoC1e},
-        {"t_no_c6", &ServerConfig::tNoC6},
-        {"t_no_c6_no_c1e", &ServerConfig::tNoC6NoC1e},
-        {"t_aw", &ServerConfig::tAwNoC6NoC1e},
-        {"c1c6", &ServerConfig::legacyC1C6},
-        {"c1only", &ServerConfig::legacyC1Only},
-        {"aw_c6a", &ServerConfig::awC6aOnly},
-    };
-    return reg;
-}
-
-template <typename T>
-T
-byName(const std::vector<RegistryEntry<T>> &reg,
-       const std::string &name, const char *what)
-{
-    for (const auto &entry : reg)
-        if (name == entry.name)
-            return entry.make();
-    std::string known;
-    for (const auto &entry : reg) {
-        if (!known.empty())
-            known += '|';
-        known += entry.name;
-    }
-    sim::fatal("unknown %s '%s' (%s)", what, name.c_str(),
-               known.c_str());
-}
-
-template <typename T>
-std::vector<std::string>
-registryNames(const std::vector<RegistryEntry<T>> &reg)
-{
-    std::vector<std::string> names;
-    names.reserve(reg.size());
-    for (const auto &entry : reg)
-        names.emplace_back(entry.name);
-    return names;
-}
+const sim::RegistryEntry<ServerConfig (*)()> kConfigs[] = {
+    {"baseline", &ServerConfig::baseline},
+    {"aw", &ServerConfig::awBaseline},
+    {"nt_baseline", &ServerConfig::ntBaseline},
+    {"nt_no_c6", &ServerConfig::ntNoC6},
+    {"nt_no_c6_no_c1e", &ServerConfig::ntNoC6NoC1e},
+    {"nt_aw", &ServerConfig::ntAwNoC6NoC1e},
+    {"t_no_c6", &ServerConfig::tNoC6},
+    {"t_no_c6_no_c1e", &ServerConfig::tNoC6NoC1e},
+    {"t_aw", &ServerConfig::tAwNoC6NoC1e},
+    {"c1c6", &ServerConfig::legacyC1C6},
+    {"c1only", &ServerConfig::legacyC1Only},
+    {"aw_c6a", &ServerConfig::awC6aOnly},
+};
 
 } // namespace
 
 workload::WorkloadProfile
 profileByName(const std::string &name)
 {
-    return byName(workloadRegistry(), name, "workload");
+    return sim::byName(kWorkloads, name, "workload")();
 }
 
 server::ServerConfig
 configByName(const std::string &name)
 {
-    return byName(configRegistry(), name, "config");
+    return sim::byName(kConfigs, name, "config")();
 }
 
 const std::vector<std::string> &
 workloadNames()
 {
     static const std::vector<std::string> names =
-        registryNames(workloadRegistry());
+        sim::registryNames(kWorkloads);
     return names;
 }
 
@@ -111,7 +65,7 @@ const std::vector<std::string> &
 configNames()
 {
     static const std::vector<std::string> names =
-        registryNames(configRegistry());
+        sim::registryNames(kConfigs);
     return names;
 }
 

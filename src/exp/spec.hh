@@ -70,13 +70,13 @@ struct ExperimentSpec
     /** @{ Grid axes. */
     std::vector<std::string> workloads{"memcached"};
     std::vector<std::string> configs{"baseline"};
-    /** Governor specs (cstate::GovernorRegistry grammar, e.g.
+    /** Governor specs (cstate::makeGovernor grammar, e.g.
      *  "menu", "teo", "static:C6"). Empty = each config's own
      *  default, leaving the grid identical to a spec without the
      *  axis. "oracle" is single-server only (it needs per-core
      *  arrival foreknowledge) and is rejected on fleet grids. */
     std::vector<std::string> governors;
-    /** Frequency-governor specs (freq::FreqRegistry grammar, e.g.
+    /** Frequency-governor specs (freq::makeFreqPolicy names, e.g.
      *  "performance", "ondemand", "racetohalt"). Empty = each
      *  config's static operating point (base, or Pn under runAtPn),
      *  leaving the grid -- and every emitted artifact -- identical

@@ -1,6 +1,7 @@
 #include "freq/policies.hh"
 
 #include "sim/logging.hh"
+#include "sim/registry.hh"
 
 namespace aw::freq {
 
@@ -36,130 +37,43 @@ ConservativePolicy::select(sim::Tick now, double load)
     return _level;
 }
 
-// ------------------------------------------------- FreqRegistry
-
-FreqSpec
-parseFreqSpec(const std::string &spec)
-{
-    FreqSpec parsed;
-    const auto colon = spec.find(':');
-    parsed.kind = spec.substr(0, colon);
-    if (colon != std::string::npos)
-        parsed.arg = spec.substr(colon + 1);
-    if (parsed.kind.empty())
-        sim::fatal("empty frequency-governor spec");
-    return parsed;
-}
+// ------------------------------------------------------ name table
 
 namespace {
 
-/** Argless kinds reject a stray ":arg" instead of silently running
- *  unparameterized under a mislabeled spec. */
-void
-requireNoArg(const char *kind, const std::string &arg)
+using Factory = std::unique_ptr<FreqPolicy> (*)(const PStateLadder &);
+
+template <typename P>
+std::unique_ptr<FreqPolicy>
+build(const PStateLadder &ladder)
 {
-    if (!arg.empty())
-        sim::fatal("frequency governor '%s' takes no argument "
-                   "(got '%s:%s')",
-                   kind, kind, arg.c_str());
+    return std::make_unique<P>(ladder);
 }
+
+const sim::RegistryEntry<Factory> kFreqPolicies[] = {
+    {"performance", &build<PerformancePolicy>},
+    {"powersave", &build<PowersavePolicy>},
+    {"ondemand", &build<OndemandPolicy>},
+    {"conservative", &build<ConservativePolicy>},
+    {"racetohalt", &build<RaceToHaltPolicy>},
+};
 
 } // namespace
-
-FreqRegistry::FreqRegistry()
-{
-    add("performance", "pin the top P-state (P1)",
-        [](const std::string &arg, const PStateLadder &ladder) {
-            requireNoArg("performance", arg);
-            return std::make_unique<PerformancePolicy>(ladder);
-        });
-    add("powersave", "pin the bottom P-state (Pn)",
-        [](const std::string &arg, const PStateLadder &ladder) {
-            requireNoArg("powersave", arg);
-            return std::make_unique<PowersavePolicy>(ladder);
-        });
-    add("ondemand",
-        "sampled load: jump to P1 above threshold, else proportional",
-        [](const std::string &arg, const PStateLadder &ladder) {
-            requireNoArg("ondemand", arg);
-            return std::make_unique<OndemandPolicy>(ladder);
-        });
-    add("conservative", "sampled load: one ladder step at a time",
-        [](const std::string &arg, const PStateLadder &ladder) {
-            requireNoArg("conservative", arg);
-            return std::make_unique<ConservativePolicy>(ladder);
-        });
-    add("racetohalt",
-        "P1 while serving, Pn on queue drain (edge-driven)",
-        [](const std::string &arg, const PStateLadder &ladder) {
-            requireNoArg("racetohalt", arg);
-            return std::make_unique<RaceToHaltPolicy>(ladder);
-        });
-}
-
-FreqRegistry &
-FreqRegistry::instance()
-{
-    static FreqRegistry registry;
-    return registry;
-}
-
-void
-FreqRegistry::add(const std::string &kind, const std::string &summary,
-                  Factory factory)
-{
-    for (const auto &k : _kinds)
-        if (k == kind)
-            sim::fatal("frequency-governor kind '%s' registered "
-                       "twice",
-                       kind.c_str());
-    _kinds.push_back(kind);
-    _entries.push_back(Entry{summary, std::move(factory)});
-}
-
-std::unique_ptr<FreqPolicy>
-FreqRegistry::make(const std::string &spec,
-                   const PStateLadder &ladder) const
-{
-    const auto parsed = parseFreqSpec(spec);
-    for (std::size_t i = 0; i < _kinds.size(); ++i)
-        if (_kinds[i] == parsed.kind)
-            return _entries[i].factory(parsed.arg, ladder);
-    sim::fatal("unknown frequency governor '%s' (%s)", spec.c_str(),
-               describeKinds().c_str());
-}
-
-std::string
-FreqRegistry::summary(const std::string &kind) const
-{
-    for (std::size_t i = 0; i < _kinds.size(); ++i)
-        if (_kinds[i] == kind)
-            return _entries[i].summary;
-    return "";
-}
-
-std::string
-FreqRegistry::describeKinds() const
-{
-    std::string out;
-    for (const auto &kind : _kinds) {
-        if (!out.empty())
-            out += '|';
-        out += kind;
-    }
-    return out;
-}
 
 std::unique_ptr<FreqPolicy>
 makeFreqPolicy(const std::string &spec, const PStateLadder &ladder)
 {
-    return FreqRegistry::instance().make(spec, ladder);
+    if (spec.empty())
+        sim::fatal("empty frequency-governor spec");
+    return sim::byName(kFreqPolicies, spec, "frequency governor")(ladder);
 }
 
 const std::vector<std::string> &
 freqPolicyKinds()
 {
-    return FreqRegistry::instance().kinds();
+    static const std::vector<std::string> kinds =
+        sim::registryNames(kFreqPolicies);
+    return kinds;
 }
 
 } // namespace aw::freq

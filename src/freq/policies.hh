@@ -1,11 +1,11 @@
 /**
  * @file
- * The built-in frequency governors and the string-keyed registry
- * behind `--freq-governor` / the `freqPolicies` sweep axis.
+ * The built-in frequency governors and the name table behind
+ * `--freq-governor` / the `freqPolicies` sweep axis.
  *
- * Mirrors cstate/governors.hh: specs are `kind[:arg]`, unknown kinds
- * die with the full kind list, and tools enumerate the registry for
- * their --help text. Built-ins follow the Linux cpufreq lineage:
+ * Mirrors cstate/governors.hh, minus the `:arg` part (no kind takes
+ * one): a spec is a kind name, and unknown kinds die with the full
+ * kind list. Built-ins follow the Linux cpufreq lineage:
  *
  *   performance   pin the top level (P1); zero events
  *   powersave     pin the bottom level (Pn); zero events
@@ -20,7 +20,6 @@
 #ifndef AW_FREQ_POLICIES_HH
 #define AW_FREQ_POLICIES_HH
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -136,63 +135,15 @@ class RaceToHaltPolicy : public FreqPolicy
 
 // ------------------------------------------------------------------
 
-/** A parsed `kind[:arg]` frequency-governor spec. */
-struct FreqSpec
-{
-    std::string kind;
-    std::string arg;
-};
-
-/** Split `kind[:arg]`; fatal on an empty kind. */
-FreqSpec parseFreqSpec(const std::string &spec);
-
 /**
- * The process-wide frequency-governor registry (same shape as
- * cstate::GovernorRegistry).
+ * Build a policy by kind name through the one name table of kinds.
+ * No kind takes an argument, so a spec is exactly a kind; empty and
+ * unknown specs are fatal(), the latter with the known list.
  */
-class FreqRegistry
-{
-  public:
-    using Factory = std::function<std::unique_ptr<FreqPolicy>(
-        const std::string &arg, const PStateLadder &ladder)>;
-
-    static FreqRegistry &instance();
-
-    /** Register a kind; fatal on a duplicate. */
-    void add(const std::string &kind, const std::string &summary,
-             Factory factory);
-
-    /** Build a policy from `kind[:arg]`; fatal on unknown kinds. */
-    std::unique_ptr<FreqPolicy> make(const std::string &spec,
-                                     const PStateLadder &ladder) const;
-
-    /** Registered kinds, in registration order. */
-    const std::vector<std::string> &kinds() const { return _kinds; }
-
-    /** One-line description of @p kind ("" when unknown). */
-    std::string summary(const std::string &kind) const;
-
-    /** "performance|powersave|..." for diagnostics/usage text. */
-    std::string describeKinds() const;
-
-  private:
-    FreqRegistry();
-
-    struct Entry
-    {
-        std::string summary;
-        Factory factory;
-    };
-
-    std::vector<std::string> _kinds;
-    std::vector<Entry> _entries;
-};
-
-/** Convenience: build from the process-wide registry. */
 std::unique_ptr<FreqPolicy>
 makeFreqPolicy(const std::string &spec, const PStateLadder &ladder);
 
-/** Convenience: the registered kind names. */
+/** The table's kinds, in table order. */
 const std::vector<std::string> &freqPolicyKinds();
 
 } // namespace aw::freq

@@ -1,44 +1,38 @@
 #include "server/config.hh"
 
-#include "sim/logging.hh"
+#include "sim/registry.hh"
 
 namespace aw::server {
+
+namespace {
+
+const sim::RegistryEntry<DispatchPolicy> kDispatchPolicies[] = {
+    {"static", DispatchPolicy::Static},
+    {"packing", DispatchPolicy::Packing},
+};
+
+} // namespace
 
 const char *
 name(DispatchPolicy policy)
 {
-    switch (policy) {
-      case DispatchPolicy::Static: return "static";
-      case DispatchPolicy::Packing: return "packing";
-    }
+    for (const auto &entry : kDispatchPolicies)
+        if (entry.value == policy)
+            return entry.name;
     return "?";
 }
 
 DispatchPolicy
-dispatchPolicyByName(const std::string &name_str)
+dispatchPolicyByName(const std::string &name)
 {
-    for (const auto policy :
-         {DispatchPolicy::Static, DispatchPolicy::Packing}) {
-        if (name_str == name(policy))
-            return policy;
-    }
-    std::string known;
-    for (const auto &n : dispatchPolicyNames()) {
-        if (!known.empty())
-            known += '|';
-        known += n;
-    }
-    sim::fatal("unknown dispatch policy '%s' (%s)", name_str.c_str(),
-               known.c_str());
+    return sim::byName(kDispatchPolicies, name, "dispatch policy");
 }
 
 const std::vector<std::string> &
 dispatchPolicyNames()
 {
-    static const std::vector<std::string> names{
-        name(DispatchPolicy::Static),
-        name(DispatchPolicy::Packing),
-    };
+    static const std::vector<std::string> names =
+        sim::registryNames(kDispatchPolicies);
     return names;
 }
 

@@ -36,9 +36,9 @@ enum class DispatchPolicy
     Packing,
 };
 
-/** @{ Name <-> value registry for DispatchPolicy, the same naming
- *  convention as the routing-policy and governor registries, so
- *  every policy axis parses and prints identically across awsim,
+/** @{ Name <-> value table for DispatchPolicy, resolved through the
+ *  same sim/registry.hh lookup as the routing and governor tables,
+ *  so every policy axis parses and prints identically across awsim,
  *  awsweep and ExperimentSpec. Unknown names are fatal() with the
  *  known list. */
 const char *name(DispatchPolicy policy);
@@ -59,7 +59,7 @@ struct ServerConfig
     /** Enabled idle states. */
     cstate::CStateConfig cstates = cstate::CStateConfig::legacyBaseline();
 
-    /** Idle-governance policy spec (cstate::GovernorRegistry):
+    /** Idle-governance policy spec (cstate::makeGovernor):
      *  "menu" (the behavior-preserving default), "teo", "ladder",
      *  "static:<state>" or "oracle". Each core clones its own
      *  instance from one prototype, so no prediction state is
@@ -98,7 +98,7 @@ struct ServerConfig
     TurboModel::Params turboParams{};
     PStateTable pstates = PStateTable::xeonSilver4114();
 
-    /** Frequency-governance policy spec (freq::FreqRegistry):
+    /** Frequency-governance policy spec (freq::makeFreqPolicy):
      *  "performance", "powersave", "ondemand", "conservative" or
      *  "racetohalt". Empty (the default) pins each core at one
      *  ladder level -- base, or Pn under runAtPn -- that only the

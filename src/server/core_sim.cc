@@ -487,7 +487,8 @@ CoreSim::onPromotionTick(sim::Tick idle_start)
     // Unlike the other entries, promotion flushes *before* the C6
     // entry latency is read, so it pays only the tag scan, not the
     // dirty-line write-backs: a known fault that flatters legacy C6
-    // (ROADMAP item 2), pinned by hostbench/reference.json and
+    // (the ROADMAP item on idle promotion into C6), pinned by
+    // hostbench/reference.json and
     // FleetKernel.IdlePromotionEntryFlowIsBitExact. enterIdle's own
     // flush is then a no-op.
     if (target == CStateId::C6)

@@ -10,7 +10,15 @@
 #include <array>
 #include <cstdio>
 #include <ostream>
+#include <regex>
 #include <string>
+#include <vector>
+
+#include "cluster/routing.hh"
+#include "cstate/governors.hh"
+#include "exp/spec.hh"
+#include "freq/policies.hh"
+#include "server/config.hh"
 
 namespace {
 
@@ -40,6 +48,34 @@ TEST(AwsimTool, HelpExitsZero)
     EXPECT_EQ(code, 0);
     EXPECT_NE(out.find("--workload"), std::string::npos);
     EXPECT_NE(out.find("--config"), std::string::npos);
+}
+
+/** True if @p name appears in @p text as a whole word (not as a
+ *  piece of a longer name such as "aw" in "nt_aw"). */
+bool
+listsName(const std::string &text, const std::string &name)
+{
+    return std::regex_search(
+        text, std::regex("(^|[^A-Za-z0-9_-])" + name +
+                         "($|[^A-Za-z0-9_-])"));
+}
+
+TEST(AwsimTool, HelpListsEveryTableName)
+{
+    // The usage text is hand-written; every row of every name table
+    // must show up in it, so a new row cannot go unadvertised.
+    const auto [code, out] = runCommand(std::string(AWSIM_BIN) +
+                                        " --help");
+    ASSERT_EQ(code, 0);
+    for (const auto *names :
+         {&aw::exp::workloadNames(), &aw::exp::configNames(),
+          &aw::cstate::governorKinds(), &aw::freq::freqPolicyKinds(),
+          &aw::cluster::routingPolicyNames(),
+          &aw::server::dispatchPolicyNames()}) {
+        ASSERT_FALSE(names->empty());
+        for (const auto &name : *names)
+            EXPECT_TRUE(listsName(out, name)) << name;
+    }
 }
 
 TEST(AwsimTool, BasicRunProducesMetrics)
@@ -180,7 +216,10 @@ INSTANTIATE_TEST_SUITE_P(
         BadFlag{"--fleet 2 --estimate-aw", "single-server only"},
         BadFlag{"--fleet 2 --diurnal-period 0.5", "needs a load shape"},
         BadFlag{"--fleet 2 --diurnal 0 --diurnal-period 0.5",
-                "needs a load shape"}));
+                "needs a load shape"},
+        BadFlag{"--fleet 2 --route round-robin --pack-cap 3",
+                "needs --route pack-first"},
+        BadFlag{"--fleet 2 --pack-cap 3", "needs --route pack-first"}));
 
 TEST(AwsimTool, DeterministicForFixedSeed)
 {

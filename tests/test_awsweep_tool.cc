@@ -14,8 +14,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <ostream>
+#include <regex>
 #include <sstream>
 #include <string>
+
+#include "cstate/governors.hh"
+#include "freq/policies.hh"
 
 namespace {
 
@@ -62,6 +66,24 @@ TEST(AwsweepTool, HelpExitsZeroAndDocumentsTheKernelKnobs)
     EXPECT_NE(out.find("--fleet"), std::string::npos);
     EXPECT_NE(out.find("--fleet-threads"), std::string::npos);
     EXPECT_NE(out.find("--epoch"), std::string::npos);
+}
+
+TEST(AwsweepTool, HelpListsEveryGovernorName)
+{
+    // The axis help text is hand-written; every row of the idle and
+    // DVFS governor tables must show up in it as a whole word.
+    const auto [code, out] =
+        runCommand(std::string(AWSWEEP_BIN) + " --help");
+    ASSERT_EQ(code, 0);
+    for (const auto *names :
+         {&aw::cstate::governorKinds(), &aw::freq::freqPolicyKinds()}) {
+        ASSERT_FALSE(names->empty());
+        for (const auto &name : *names)
+            EXPECT_TRUE(std::regex_search(
+                out, std::regex("(^|[^A-Za-z0-9_-])" + name +
+                                "($|[^A-Za-z0-9_-])")))
+                << name;
+    }
 }
 
 TEST(AwsweepTool, SmallSweepPrintsTheSummaryTable)

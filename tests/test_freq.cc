@@ -119,14 +119,10 @@ TEST(FreqRegistry, RoundTripsEveryBuiltInKind)
     for (const auto &kind : kinds) {
         const auto policy = makeFreqPolicy(kind, ladder);
         ASSERT_NE(policy, nullptr) << kind;
-        // spec() rebuilds the policy through the registry.
+        // spec() rebuilds the policy through the name table.
         EXPECT_EQ(policy->spec(), kind);
         const auto again = makeFreqPolicy(policy->spec(), ladder);
         EXPECT_EQ(again->spec(), kind);
-        // Every kind carries a registry summary for --help text.
-        EXPECT_FALSE(
-            FreqRegistry::instance().summary(kind).empty())
-            << kind;
     }
 }
 
@@ -148,6 +144,12 @@ TEST(FreqRegistryDeathTest, UnknownKindDiesWithTheKindList)
                  "unknown frequency governor 'warpspeed'");
     EXPECT_DEATH(makeFreqPolicy("warpspeed", ladder), "racetohalt");
     EXPECT_DEATH(makeFreqPolicy("", ladder), "empty");
+    // No kind takes an argument, so "kind:arg" names no row of the
+    // table: it dies with the kind list instead of running the bare
+    // kind under a mislabeled spec.
+    EXPECT_DEATH(makeFreqPolicy("racetohalt:x", ladder),
+                 "unknown frequency governor 'racetohalt:x' "
+                 "\\(performance\\|.*\\|racetohalt\\)");
 }
 
 // --------------------------------------------- per-core clone state

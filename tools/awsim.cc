@@ -117,7 +117,8 @@ usage()
         "                    server with the most watt headroom)\n"
         "                    (default round-robin)\n"
         "  --pack-cap N      pack-first spill threshold "
-        "(default cores/2)\n"
+        "(default cores/2;\n"
+        "                    needs --route pack-first)\n"
         "  --diurnal A       sinusoidal diurnal load, amplitude A "
         "in [0,1]\n"
         "  --diurnal-period S  length of one simulated \"day\" "
@@ -435,6 +436,7 @@ main(int argc, char **argv)
     double diurnal = 0.0;
     double diurnal_period = 1.0;
     bool diurnal_period_set = false;
+    bool pack_cap_set = false;
     double flash = 0.0;
     TimelineOpts timeline;
     TraceOpts reqtrace;
@@ -538,6 +540,7 @@ main(int argc, char **argv)
         } else if (arg == "--pack-cap") {
             fc.packCapacity =
                 parseUnsigned("--pack-cap", next("--pack-cap"));
+            pack_cap_set = true;
             fleet_flag = "--pack-cap";
         } else if (arg == "--diurnal") {
             diurnal = parseDouble("--diurnal", next("--diurnal"));
@@ -597,6 +600,10 @@ main(int argc, char **argv)
 
     if (fc.servers == 0 && fleet_flag)
         sim::fatal("%s requires --fleet N", fleet_flag);
+    if (pack_cap_set && fc.routing != "pack-first")
+        sim::fatal("--pack-cap needs --route pack-first (route '%s' "
+                   "has no spill threshold)",
+                   fc.routing.c_str());
     if (fc.servers > 0 && estimate_aw)
         sim::fatal("--estimate-aw is single-server only (it reads "
                    "one server's residencies); drop --fleet");
