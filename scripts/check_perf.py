@@ -13,6 +13,12 @@ threshold (2x) exists so shared-CI-runner noise and hardware
 differences cannot flake the gate while real kernel regressions --
 which historically show up as integer factors -- still trip it.
 
+The deterministic counters are gated exactly: a scenario's `events`
+and `requests` (per-run values, independent of --repeat) must equal
+the baseline's. They do not depend on the host, so any difference
+means the simulation itself changed; a deliberate model change
+regenerates the baseline in the same commit.
+
 Exit status: 0 = pass, 1 = regression or schema violation.
 """
 
@@ -40,6 +46,9 @@ REQUIRED_KEYS = {
 
 THROUGHPUT_METRICS = ("sim_per_wall", "events_per_s",
                       "requests_per_s")
+
+#: Simulated counters that must match the baseline exactly.
+EXACT_COUNTERS = ("events", "requests")
 
 
 def load(path):
@@ -162,6 +171,14 @@ def main():
                 verdict = "FAIL"
             else:
                 verdict = "ok"
+        for key in EXACT_COUNTERS:
+            if cur[key] != base[key]:
+                failures.append(
+                    f"scenario {name!r}: {key} is {cur[key]}, "
+                    f"baseline {base[key]} (exact counter: the "
+                    f"simulation changed; regenerate the baseline "
+                    f"only for a deliberate model change)")
+                verdict = "FAIL"
         print(f"{name:<18} {base_v:>12.4g} {cur_v:>12.4g} "
               f"{ratio_str:>7}  {verdict}")
 

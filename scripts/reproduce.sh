@@ -67,14 +67,16 @@ for i in "${!pids[@]}"; do
 done
 
 # Run awsweep inside RESULTS_DIR, so its "artifacts:" line names the
-# files relative to it, and drop the host wall time from its summary
-# header: two reproductions' text outputs then compare with a plain
-# diff. Usage: sweep_to TXT_NAME AWSWEEP_ARGS...
+# files relative to it, and drop the host wall time and worker count
+# (JOBS follows the core count) from its summary header: two
+# reproductions' text outputs, on any machines, then compare with a
+# plain diff. Usage: sweep_to TXT_NAME AWSWEEP_ARGS...
 sweep_to() {
     local txt="$1"
     shift
     (cd "$RESULTS_DIR" && "$AWSWEEP" "$@" 2>&1) \
-        | sed -E 's/ wall=[0-9.]+s//' >"$RESULTS_DIR/$txt"
+        | sed -E 's/ wall=[0-9.]+s//; s/ threads=[0-9]+//' \
+        >"$RESULTS_DIR/$txt"
 }
 
 # Fleet sweep: the routing-policy x config grid behind docs/FLEET.md,

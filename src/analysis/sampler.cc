@@ -97,8 +97,7 @@ TimelineRecorder::closeInterval(sim::Tick t1)
     s.requests = _requests;
     const double sec = sim::toSec(t1 - _intervalStart);
     s.powerW = sec > 0.0 ? _energyJ / sec : 0.0;
-    std::sort(_latencies.begin(), _latencies.end());
-    s.p99Us = sim::percentileOfSorted(_latencies, 99.0);
+    s.p99Us = sim::selectPercentile(_latencies, 99.0);
     const double core_time = sec * static_cast<double>(_cores.size());
     for (std::size_t i = 0; i < cstate::kNumCStates; ++i) {
         s.residency[i] =
@@ -385,8 +384,7 @@ foldTimelines(const std::vector<TimelineSeries> &parts)
             s.residency[r] /= static_cast<double>(out.cores);
         s.freqGhz /= static_cast<double>(out.cores);
         s.throttledShare /= static_cast<double>(out.cores);
-        std::sort(pooled.begin(), pooled.end());
-        s.p99Us = sim::percentileOfSorted(pooled, 99.0);
+        s.p99Us = sim::selectPercentile(pooled, 99.0);
     }
     return out;
 }

@@ -394,9 +394,8 @@ attributeTail(const TraceSeries &series)
     latencies.reserve(series.spans.size());
     for (const auto &span : series.spans)
         latencies.push_back(span.latency());
-    std::sort(latencies.begin(), latencies.end());
-    const sim::Tick p99 = sim::percentileOfSorted(latencies, 99.0);
-    const sim::Tick p999 = sim::percentileOfSorted(latencies, 99.9);
+    const sim::Tick p99 = sim::selectPercentile(latencies, 99.0);
+    const sim::Tick p999 = sim::selectPercentile(latencies, 99.9);
     attr.p99Us = sim::toUs(p99);
     attr.p999Us = sim::toUs(p999);
 

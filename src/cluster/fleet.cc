@@ -399,8 +399,8 @@ FleetSim::run(sim::Tick duration, sim::Tick warmup)
     // Fold in strict server-index order: the floating-point op
     // sequence (and thus every emitted byte) is independent of how
     // the runs were scheduled. The pooled mean sums each server's
-    // samples in storage order, which is ascending: the server's
-    // own p99 query sorted them in its worker. Each server's
+    // samples in storage order, which is ascending:
+    // takeLatencySamples() sorted them in the worker. Each server's
     // samples are freed as soon as they are pooled.
     sim::PercentileTracker pooled;
     pooled.reserve(samples);

@@ -88,7 +88,9 @@ CoreSim::CoreSim(sim::Simulator &simr, const ServerConfig &cfg,
       _arrivals(per_core_rate > 0.0
                     ? profile.makeArrivals(per_core_rate)
                     : nullptr),
-      _rng(cfg.seed + id), _id(id)
+      _rng(_arrivals ? std::make_unique<sim::Rng>(cfg.seed + id)
+                     : nullptr),
+      _id(id)
 {
     // The initial operating point: the policy's pick, else Pn under
     // runAtPn and P1 otherwise, raised to the LatencyQoS floor.
@@ -264,13 +266,13 @@ CoreSim::inject(workload::Request req)
 void
 CoreSim::scheduleNextArrival()
 {
-    const sim::Tick gap = _arrivals->nextGap(_rng);
+    const sim::Tick gap = _arrivals->nextGap(*_rng);
     _nextArrivalAt = _sim.now() + gap;
     _sim.scheduleIn(gap, [this]() {
         workload::Request req;
         req.id = _nextReqId++;
         req.arrival = _sim.now();
-        req.demand = _profile.service().draw(_rng);
+        req.demand = _profile.service().draw(*_rng);
         onArrival(std::move(req));
         scheduleNextArrival();
     });

@@ -194,6 +194,15 @@ class CoreSim
         return _forcedNaps - _forcedNapsAtReset;
     }
 
+    /** Bytes of RNG engine state this core holds outside itself:
+     *  an engine for its own arrivals, one for its snoop source,
+     *  each only if it draws from it. */
+    std::size_t
+    engineBytes() const
+    {
+        return (_rng ? sizeof(sim::Rng) : 0) + _snoops.engineBytes();
+    }
+
     /** @{ Statistics access. */
     cstate::ResidencySnapshot residency() const;
     power::Joules energy();
@@ -394,7 +403,9 @@ class CoreSim
     /** @} */
 
     std::unique_ptr<workload::ArrivalProcess> _arrivals;
-    sim::Rng _rng;
+    /** Draws this core's own arrivals and demands; absent (no
+     *  engine state carried) when the server dispatches to it. */
+    std::unique_ptr<sim::Rng> _rng;
     std::function<void()> _onStateChange;
     const PackageCStateModel *_package = nullptr;
     TelemetryObserver *_observer = nullptr;

@@ -433,8 +433,11 @@ ServerSim::run(sim::Tick duration, sim::Tick warmup)
 
     if (!_latency.empty()) {
         r.avgLatencyUs = _latency.mean();
-        r.p99LatencyUs = _latency.p99();
-        r.p999LatencyUs = _latency.p999();
+        // Selection, not a sort: nothing reads the samples' order
+        // before takeLatencySamples() sorts them.
+        const auto tail = _latency.selectPercentiles({99.0, 99.9});
+        r.p99LatencyUs = tail[0];
+        r.p999LatencyUs = tail[1];
         const double net = sim::toUs(_cfg.networkLatency);
         r.avgLatencyE2eUs = r.avgLatencyUs + net;
         r.p99LatencyE2eUs = r.p99LatencyUs + net;

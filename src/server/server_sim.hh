@@ -138,13 +138,15 @@ class ServerSim
     /** Hand over the per-request latency samples of the last
      *  measured window (fleet aggregation pools them for exact
      *  global percentiles), trimmed to their count so the run-time
-     *  reservation stays behind. run()'s percentile queries have
-     *  already sorted them. */
+     *  reservation stays behind, and sorted ascending: the fleet
+     *  fold's pooled mean sums them in storage order, and run()'s
+     *  percentile selection leaves that order partial. */
     sim::PercentileTracker
     takeLatencySamples()
     {
         sim::PercentileTracker out = std::move(_latency);
         _latency = {};
+        out.sortSamples();
         out.shrinkToFit();
         return out;
     }

@@ -5,23 +5,27 @@
  * The kernel is deliberately small: events are closures scheduled at
  * absolute ticks; ties are broken by a monotonic sequence number so
  * same-tick events fire in scheduling order as a structural
- * guarantee, not an accident of heap layout. Events can be cancelled
- * through the EventId returned at scheduling time.
+ * guarantee, not an accident of storage layout. Events can be
+ * cancelled through the EventId returned at scheduling time.
  *
  * Layout is optimized for the simulator's hot loop:
  *
- *  - a 4-ary min-heap orders small POD keys (tick, sequence, slot),
- *    so sifts touch 24-byte keys in a flat array -- never the
- *    closures -- and the tree is half as deep as a binary heap's;
+ *  - a flat event set: small POD keys (tick, sequence, slot) kept in
+ *    one vector sorted descending, so the next event is the back
+ *    element -- popped with no sift -- and a schedule is a binary
+ *    search plus a short memmove of 24-byte keys, never of the
+ *    closures. A simulator's queue holds O(cores) live keys (each
+ *    core's next arrival, idle timer and service completion), where
+ *    a shift over a few cache lines costs less than a heap's sifts;
  *  - closures live in a chunked slab with stable addresses and are
  *    constructed, invoked and destroyed in place (zero moves and
  *    zero allocations per steady-state event; see sim/callback.hh);
  *  - cancellation is an O(1) slot invalidation -- no hash table
- *    anywhere in the kernel -- and the heap stays within a constant
+ *    anywhere in the kernel -- and the set stays within a constant
  *    factor of the live events: once cancelled keys outnumber live
- *    ones by more than kCompactSlack, one linear pass filters them
- *    out and re-heapifies, so a long-dated timer cancelled early
- *    (an idle core's promotion check) costs no sift work afterwards.
+ *    ones by more than kCompactSlack, one stable linear pass filters
+ *    them out, so a long-dated timer cancelled early (an idle core's
+ *    promotion check) is not shifted around afterwards.
  *
  * The pop order is the strict total order (when, seq), so none of
  * these layout choices can affect simulation results.
@@ -52,8 +56,8 @@ constexpr EventId kInvalidEventId = 0;
  * Events scheduled for the same tick fire in scheduling order (FIFO,
  * enforced by a per-queue monotonic sequence counter). Cancellation
  * invalidates the event's slot immediately -- the callback is
- * destroyed right away. Its heap key is dropped when it surfaces or,
- * if cancelled keys pile up first, by a compaction: the heap never
+ * destroyed right away. Its key is dropped when it surfaces or,
+ * if cancelled keys pile up first, by a compaction: the set never
  * holds more than 2 * size() + kCompactSlack keys. Cancelling an id
  * that already fired (or was never scheduled) is a harmless no-op.
  */
@@ -82,8 +86,12 @@ class EventQueue
         Slot &s = slotAt(slot);
         s.cb.emplace(std::forward<F>(fn));
         s.live = true;
-        _heap.push_back(Key{when, ++_seq, slot});
-        siftUp(_heap.size() - 1);
+        const Key k{when, ++_seq, slot};
+        // Descending order: the new key goes after every key that
+        // fires after it.
+        _keys.insert(std::upper_bound(_keys.begin(), _keys.end(), k,
+                                      fires_after),
+                     k);
         ++_live;
         return makeId(slot, s.gen);
     }
@@ -99,7 +107,7 @@ class EventQueue
         if (!s.live || s.gen != genOf(id))
             return;
         // Invalidate now (the callback and its captures die here);
-        // the heap key stays until it surfaces or a compaction.
+        // the key stays until it surfaces or a compaction.
         s.live = false;
         ++s.gen;
         s.cb.reset();
@@ -125,12 +133,12 @@ class EventQueue
     /** Number of live events still queued. */
     std::size_t size() const { return _live; }
 
-    /** Heap keys held, live and cancelled: at most
+    /** Keys held, live and cancelled: at most
      *  2 * size() + kCompactSlack. */
-    std::size_t keyCount() const { return _heap.size(); }
+    std::size_t keyCount() const { return _keys.size(); }
 
     /** Cancelled keys tolerated beyond the live count before the
-     *  heap is compacted. */
+     *  set is compacted. */
     static constexpr std::size_t kCompactSlack = 32;
 
     /**
@@ -141,7 +149,7 @@ class EventQueue
     nextTick() const
     {
         const_cast<EventQueue *>(this)->skipCancelled();
-        return _heap.empty() ? kMaxTick : _heap.front().when;
+        return _keys.empty() ? kMaxTick : _keys.back().when;
     }
 
     /** Result of pop(): when/id/callback of the fired event. */
@@ -160,8 +168,8 @@ class EventQueue
     pop()
     {
         skipCancelled();
-        const Key top = _heap.front();
-        removeTop();
+        const Key top = _keys.back();
+        _keys.pop_back();
         Slot &s = slotAt(top.slot);
         Popped out{top.when, makeId(top.slot, s.gen),
                    std::move(s.cb)};
@@ -189,10 +197,10 @@ class EventQueue
     fireNext(Tick horizon, BeforeFn &&before)
     {
         skipCancelled();
-        if (_heap.empty() || _heap.front().when > horizon)
+        if (_keys.empty() || _keys.back().when > horizon)
             return false;
-        const Key top = _heap.front();
-        removeTop();
+        const Key top = _keys.back();
+        _keys.pop_back();
         Slot &s = slotAt(top.slot);
         s.live = false; // the id dies before the closure runs
         ++s.gen;
@@ -206,7 +214,7 @@ class EventQueue
     }
 
   private:
-    /** Heap key: 24 bytes, trivially copyable, sifted without ever
+    /** Set key: 24 bytes, trivially copyable, moved without ever
      *  touching the closures. */
     struct Key
     {
@@ -215,13 +223,14 @@ class EventQueue
         std::uint32_t slot;
     };
 
-    /** "a fires before b": the strict total event order. */
+    /** "a fires after b": the strict total event order, reversed
+     *  -- the order the keys are stored in. */
     static bool
-    fires_before(const Key &a, const Key &b)
+    fires_after(const Key &a, const Key &b)
     {
         if (a.when != b.when)
-            return a.when < b.when;
-        return a.seq < b.seq;
+            return a.when > b.when;
+        return a.seq > b.seq;
     }
 
     /** One closure slot; gen guards stale EventIds across reuse. */
@@ -283,73 +292,24 @@ class EventQueue
         return static_cast<std::uint32_t>(_slotCount++);
     }
 
-    /** @{ 4-ary min-heap over Keys (root at 0; children of i are
-     *  4i+1 .. 4i+4). Shape never affects pop order -- fires_before
-     *  is a strict total order. */
-    void
-    siftUp(std::size_t i)
-    {
-        const Key k = _heap[i];
-        while (i > 0) {
-            const std::size_t parent = (i - 1) >> 2;
-            if (!fires_before(k, _heap[parent]))
-                break;
-            _heap[i] = _heap[parent];
-            i = parent;
-        }
-        _heap[i] = k;
-    }
-
-    void
-    siftDown(std::size_t i)
-    {
-        const std::size_t n = _heap.size();
-        const Key k = _heap[i];
-        while (true) {
-            const std::size_t first = (i << 2) + 1;
-            if (first >= n)
-                break;
-            std::size_t best = first;
-            const std::size_t last = std::min(first + 4, n);
-            for (std::size_t c = first + 1; c < last; ++c) {
-                if (fires_before(_heap[c], _heap[best]))
-                    best = c;
-            }
-            if (!fires_before(_heap[best], k))
-                break;
-            _heap[i] = _heap[best];
-            i = best;
-        }
-        _heap[i] = k;
-    }
-
-    void
-    removeTop()
-    {
-        _heap.front() = _heap.back();
-        _heap.pop_back();
-        if (!_heap.empty())
-            siftDown(0);
-    }
-    /** @} */
-
     /**
-     * Filter every cancelled key out of the heap once they outnumber
-     * the live ones by more than kCompactSlack, then re-heapify
-     * bottom-up. A pass runs only when cancelled keys are the
-     * majority, and each of them is a cancel() since the last pass,
-     * so its linear cost is O(1) amortized per cancel; a queue that
-     * never cancels never compacts.
+     * Filter every cancelled key out of the set once they outnumber
+     * the live ones by more than kCompactSlack, keeping the rest in
+     * order (so nothing is re-sorted). A pass runs only when
+     * cancelled keys are the majority, and each of them is a
+     * cancel() since the last pass, so its linear cost is O(1)
+     * amortized per cancel; a queue that never cancels never
+     * compacts.
      *
      * Safe from inside a firing closure: the firing slot has already
-     * left the heap and is not on _freeSlots, so it is untouched. A
+     * left the set and is not on _freeSlots, so it is untouched. A
      * cancelled slot returns to _freeSlots only here or in
-     * skipCancelled(), i.e. only once its key has left the heap.
+     * skipCancelled(), i.e. only once its key has left the set.
      */
     void
     compactIfSparse()
     {
-        if (_heap.size() - _live > _live + kCompactSlack)
+        if (_keys.size() - _live > _live + kCompactSlack)
             compact();
     }
 
@@ -357,18 +317,17 @@ class EventQueue
      *  fire path. */
     void compact();
 
-    /** Drop cancelled keys sitting at the top of the heap. */
+    /** Drop cancelled keys sitting at the front of the order. */
     void
     skipCancelled()
     {
-        while (!_heap.empty() &&
-               !slotAt(_heap.front().slot).live) {
-            _freeSlots.push_back(_heap.front().slot);
-            removeTop();
+        while (!_keys.empty() && !slotAt(_keys.back().slot).live) {
+            _freeSlots.push_back(_keys.back().slot);
+            _keys.pop_back();
         }
     }
 
-    std::vector<Key> _heap;
+    std::vector<Key> _keys; //!< descending (when, seq): next at back
     std::vector<std::unique_ptr<Slot[]>> _chunks;
     std::size_t _slotCount = 0;
     std::vector<std::uint32_t> _freeSlots;

@@ -24,6 +24,39 @@ deriveSeed(std::uint64_t base, std::uint64_t stream)
     return splitmix64(base + stream * 0x9E3779B97F4A7C15ull);
 }
 
+void
+Mt19937_64::seed(result_type s)
+{
+    _state[0] = s;
+    for (std::size_t i = 1; i < kStateWords; ++i) {
+        const result_type x = _state[i - 1];
+        _state[i] = (x ^ (x >> 62)) * 6364136223846793005ull + i;
+    }
+    _pos = kStateWords;
+}
+
+void
+Mt19937_64::twist()
+{
+    constexpr std::size_t kShift = 156; // the recurrence's middle word
+    constexpr result_type kMatrix = 0xb5026f5aa96619e9ull;
+    constexpr result_type kUpper = ~result_type(0) << 31;
+    constexpr result_type kLower = ~kUpper;
+    // The matrix term is kMatrix when y's low bit is set, else 0.
+    auto next = [&](result_type cur, result_type succ, result_type far) {
+        const result_type y = (cur & kUpper) | (succ & kLower);
+        return far ^ (y >> 1) ^ ((0 - (y & 1)) & kMatrix);
+    };
+    std::size_t k = 0;
+    for (; k < kStateWords - kShift; ++k)
+        _state[k] = next(_state[k], _state[k + 1], _state[k + kShift]);
+    for (; k < kStateWords - 1; ++k)
+        _state[k] = next(_state[k], _state[k + 1],
+                         _state[k + kShift - kStateWords]);
+    _state[k] = next(_state[k], _state[0], _state[kShift - 1]);
+    _pos = 0;
+}
+
 LognormalParams::LognormalParams(double mean, double cv)
     : mean(mean)
 {

@@ -26,14 +26,20 @@ checkPercentile(double p)
 
 } // namespace
 
-double
-PercentileTracker::percentile(double p) const
+void
+PercentileTracker::sortSamples() const
 {
-    checkPercentile(p);
     if (!_sorted) {
         std::sort(_samples.begin(), _samples.end());
         _sorted = true;
     }
+}
+
+double
+PercentileTracker::percentile(double p) const
+{
+    checkPercentile(p);
+    sortSamples();
     return percentileOfSorted(_samples, p);
 }
 

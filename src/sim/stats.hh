@@ -7,6 +7,7 @@
 #ifndef AW_SIM_STATS_HH
 #define AW_SIM_STATS_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -28,6 +29,22 @@ percentileOfSorted(const std::vector<T> &sorted, double p)
 {
     return sorted.empty() ? T{}
                           : sorted[nearestRankIndex(p, sorted.size())];
+}
+
+/** The nearest-rank p-th percentile of @p samples found by selection
+ *  (std::nth_element, O(n)), leaving them partially ordered -- for
+ *  callers that never read the order; T{} when empty. */
+template <typename T>
+T
+selectPercentile(std::vector<T> &samples, double p)
+{
+    if (samples.empty())
+        return T{};
+    const auto nth = samples.begin() +
+                     static_cast<std::ptrdiff_t>(
+                         nearestRankIndex(p, samples.size()));
+    std::nth_element(samples.begin(), nth, samples.end());
+    return *nth;
 }
 
 /**
@@ -82,6 +99,10 @@ class PercentileTracker
      */
     std::vector<double>
     selectPercentiles(const std::vector<double> &ps) const;
+
+    /** Sort the samples ascending now (percentile() does so
+     *  lazily), fixing the order a later merge() sums them in. */
+    void sortSamples() const;
 
     /** Convenience accessors. */
     double p50() const { return percentile(50.0); }

@@ -12,6 +12,9 @@
 #ifndef AW_UARCH_SNOOP_HH
 #define AW_UARCH_SNOOP_HH
 
+#include <cstddef>
+#include <memory>
+
 #include "sim/random.hh"
 #include "sim/types.hh"
 
@@ -40,13 +43,18 @@ class SnoopTraffic
     /** Time from @p now to the next probe (kMaxTick if disabled). */
     sim::Tick nextArrival(sim::Tick now);
 
-    /** Draw the hit/miss outcome of a probe. */
+    /** Draw the hit/miss outcome of a probe (always a miss when
+     *  disabled: there are no probes). */
     bool drawHit();
+
+    /** Bytes of RNG engine state held: none when disabled. */
+    std::size_t engineBytes() const { return _rng ? sizeof(sim::Rng) : 0; }
 
   private:
     double _rate;
     double _hitFraction;
-    sim::Rng _rng;
+    /** Only an enabled source draws, so only it carries an engine. */
+    std::unique_ptr<sim::Rng> _rng;
 };
 
 } // namespace aw::uarch

@@ -404,6 +404,59 @@ TEST(CheckPerfGate, ZeroEventsBaselineFailsInsteadOfPassing)
     std::remove(base.c_str());
 }
 
+TEST(CheckPerfGate, ExactCountersMustMatchTheBaseline)
+{
+    // events and requests are simulated, not timed: a run that
+    // differs from the baseline by even one event changed the
+    // simulation, however fast it ran. The ratio gate alone let such
+    // a change through.
+    if (!havePython3())
+        GTEST_SKIP() << "python3 not available";
+    const std::string cur = tmpPath("awperf_gate_exact_cur.json");
+    const std::string base = tmpPath("awperf_gate_exact_base.json");
+
+    exp::PerfMeasurement m;
+    m.name = "fleet_sweep";
+    m.repeat = 3;
+    m.wallSeconds = 1.0;
+    m.totals.simSeconds = 10.0;
+    m.totals.events = 1000000;
+    m.totals.requests = 100000;
+    std::ofstream(base) << exp::perfToJson({m});
+
+    auto gate = [&] {
+        return runCommand("python3 " +
+                          std::string(AW_CHECK_PERF_PY) + " " + cur +
+                          " " + base);
+    };
+
+    // The counters are per run: a different --repeat still passes.
+    m.repeat = 1;
+    std::ofstream(cur) << exp::perfToJson({m});
+    const auto same = gate();
+    EXPECT_EQ(same.first, 0) << same.second;
+
+    m.totals.events = 1000001; // one event off, same speed
+    std::ofstream(cur) << exp::perfToJson({m});
+    const auto events = gate();
+    EXPECT_NE(events.first, 0);
+    EXPECT_NE(events.second.find("events is 1000001, baseline 1000000"),
+              std::string::npos)
+        << events.second;
+
+    m.totals.events = 1000000;
+    m.totals.requests = 99999;
+    std::ofstream(cur) << exp::perfToJson({m});
+    const auto requests = gate();
+    EXPECT_NE(requests.first, 0);
+    EXPECT_NE(requests.second.find("requests is 99999"),
+              std::string::npos)
+        << requests.second;
+
+    std::remove(cur.c_str());
+    std::remove(base.c_str());
+}
+
 TEST(CheckPerfGate, NewScenarioIsReportedButNotGated)
 {
     // The rollout path for a new scenario (how fleet_sweep_timeline

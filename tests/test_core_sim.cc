@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <ostream>
 #include <vector>
 
@@ -168,6 +169,28 @@ TEST(CoreSim, SnoopTrafficIncreasesIdlePower)
     a.simr.run(fromSec(1.0));
     b.simr.run(fromSec(1.0));
     EXPECT_GT(b.core.averagePower(), a.core.averagePower());
+}
+
+TEST(CoreSim, SizeProbe)
+{
+    // The per-core footprint: a 10k-server fleet builds one CoreSim
+    // per simulated core. 992 bytes on LP64 libstdc++ (5984 while two
+    // MT19937-64 engines of ~2.5 KB each were held inline).
+#if defined(__GLIBCXX__) && UINTPTR_MAX == UINT64_MAX
+    EXPECT_EQ(sizeof(CoreSim), 992u);
+#endif
+    // Only a core that draws carries an engine: a server-dispatched
+    // core (fleet, packing, trace replay) with snoops off holds none.
+    ServerConfig quiet = ServerConfig::baseline();
+    quiet.snoopRatePerSec = 0.0;
+    ServerConfig noisy = quiet;
+    noisy.snoopRatePerSec = 1000.0;
+    EXPECT_EQ(CoreHarness(quiet, 0.0).core.engineBytes(), 0u);
+    EXPECT_EQ(CoreHarness(quiet, 5000.0).core.engineBytes(),
+              sizeof(Rng));
+    EXPECT_EQ(CoreHarness(noisy, 0.0).core.engineBytes(), sizeof(Rng));
+    EXPECT_EQ(CoreHarness(noisy, 5000.0).core.engineBytes(),
+              2 * sizeof(Rng));
 }
 
 TEST(CoreSim, PollModeWhenNoIdleStates)

@@ -316,7 +316,7 @@ TEST(EventQueueFifo, PendingIsPerScheduleNotPerSlot)
 TEST(EventQueueFifo, CancelDestroysTheCallbackImmediately)
 {
     // The closure's captures must be released at cancel() time, not
-    // when the stale heap key eventually surfaces.
+    // when the stale key eventually surfaces.
     auto token = std::make_shared<int>(42);
     std::weak_ptr<int> watch = token;
     EventQueue q;
@@ -368,9 +368,9 @@ TEST(EventQueueFifo, SelfCancelDuringCallbackIsANoop)
     EXPECT_TRUE(simr.idle());
 }
 
-// Compaction: cancelled keys must stop costing heap work once they
+// Compaction: cancelled keys must stop costing work once they
 // outnumber the live ones, without moving the (when, seq) fire order
-// or recycling a slot whose key is still in the heap.
+// or recycling a slot whose key is still queued.
 
 TEST(EventQueueCompaction, CancelledTimersAreEvictedFromTheHeap)
 {
@@ -430,7 +430,7 @@ TEST(EventQueueCompaction, RandomScheduleCancelMatchesAReferenceModel)
 
     using Key = std::pair<Tick, std::uint64_t>; // (when, seq)
     std::set<Key> model;       // pending events
-    std::set<Key> lazyCancels; // keys a lazy-only heap would still hold
+    std::set<Key> lazyCancels; // keys a lazy-only queue would still hold
     std::vector<std::pair<EventId, Key>> handles;
     std::uint64_t seq = 0;
     std::uint64_t fired = 0;
@@ -525,7 +525,7 @@ TEST(EventQueueCompaction, RandomScheduleCancelMatchesAReferenceModel)
     EXPECT_EQ(fired + cancelled, seq);
     EXPECT_EQ(simr.eventsExecuted(), fired);
     EXPECT_GT(cancelled, seq / 4);
-    // Without compaction the heap would have grown far past the
+    // Without compaction the key set would have grown far past the
     // bound the kernel kept.
     EXPECT_GT(maxLazyKeys, 4 * maxKeys)
         << "maxLazyKeys=" << maxLazyKeys << " maxKeys=" << maxKeys;

@@ -17,6 +17,10 @@ TEST(SnoopTraffic, DisabledNeverFires)
     SnoopTraffic snoops(0.0, 0.3);
     EXPECT_FALSE(snoops.enabled());
     EXPECT_EQ(snoops.nextArrival(12345), kMaxTick);
+    // No probes, so no hits -- and no engine state is carried.
+    EXPECT_FALSE(snoops.drawHit());
+    EXPECT_EQ(snoops.engineBytes(), 0u);
+    EXPECT_EQ(SnoopTraffic(1000.0, 0.3).engineBytes(), sizeof(Rng));
 }
 
 TEST(SnoopTraffic, MeanGapMatchesRate)
