@@ -133,7 +133,9 @@ def main():
     failures = []
     print(f"check_perf: metric={args.metric} "
           f"max-regression={args.max_regression:g}x")
-    header = (f"{'scenario':<18} {'baseline':>12} {'current':>12} "
+    # The scenario column fits the longest name in either document.
+    width = max(len(name) for name in ["scenario", *baseline, *current])
+    header = (f"{'scenario':<{width}} {'baseline':>12} {'current':>12} "
               f"{'ratio':>7}  verdict")
     print(header)
     for name, base in sorted(baseline.items()):
@@ -141,7 +143,7 @@ def main():
         if cur is None:
             failures.append(f"scenario {name!r} missing from "
                             f"{args.current}")
-            print(f"{name:<18} {base[args.metric]:>12.4g} "
+            print(f"{name:<{width}} {base[args.metric]:>12.4g} "
                   f"{'-':>12} {'-':>7}  MISSING")
             continue
         base_v = float(base[args.metric])
@@ -179,11 +181,11 @@ def main():
                     f"simulation changed; regenerate the baseline "
                     f"only for a deliberate model change)")
                 verdict = "FAIL"
-        print(f"{name:<18} {base_v:>12.4g} {cur_v:>12.4g} "
+        print(f"{name:<{width}} {base_v:>12.4g} {cur_v:>12.4g} "
               f"{ratio_str:>7}  {verdict}")
 
     for name in sorted(set(current) - set(baseline)):
-        print(f"{name:<18} {'-':>12} "
+        print(f"{name:<{width}} {'-':>12} "
               f"{float(current[name][args.metric]):>12.4g} "
               f"{'-':>7}  new (not gated)")
 

@@ -116,6 +116,10 @@ bind(Axis a)
             s.*S = parseUnsigned(ax.flag, arg);
             checkRange(ax, s.*S);
         }
+        // An empty list would silently leave an optional axis unswept.
+        if constexpr (list)
+            if ((s.*S).empty())
+                sim::fatal("%s: needs at least one value", ax.flag);
     };
     if constexpr (!text)
         if (!a.check)
@@ -176,10 +180,9 @@ constexpr Axis kAxes[] = {
         .key = "governor", .column = 2,
         .heading = "governor", .flag = "--governors",
         .help = "idle governors (menu|teo|ladder|\n"
-                "                    static:<state>|oracle; default: "
-                "config\n                    default; oracle is "
-                "single-server only)",
-        .check = checkGovernors,
+                "static:<state>|oracle; default: config\n"
+                "default; oracle is single-server only)",
+        .names = cstate::governorKinds, .check = checkGovernors,
         .apply = [](const GridPoint &pt, FleetConfig &fc) {
             fc.server.governor = pt.governor;
         }}),
@@ -188,9 +191,9 @@ constexpr Axis kAxes[] = {
         .key = "freq_policy", .column = 3, .optionalColumn = true,
         .heading = "freq", .flag = "--freq-governors",
         .help = "DVFS governors (performance|powersave|\n"
-                "                    ondemand|conservative|"
-                "racetohalt;\n                    default: the "
-                "static operating point)",
+                "ondemand|conservative|racetohalt;\n"
+                "default: the static operating point)",
+        .names = freq::freqPolicyKinds,
         .check = [](const Axis &, const Spec &s) {
             // Against each config's own P-state table.
             for (const auto &f : s.freqPolicies)
@@ -206,7 +209,7 @@ constexpr Axis kAxes[] = {
         .label = "slo%gus", .cell = "%g", .heading = "slo us",
         .flag = "--slo", .metavar = "N,M",
         .help = "per-request latency-SLO levels in us\n"
-                "                    (PM-QoS; 0 = unconstrained)",
+                "(PM-QoS; 0 = unconstrained)",
         .rule = "latency SLO must be >= 0 us, 0 = unconstrained",
         .apply = [](const GridPoint &pt, FleetConfig &fc) {
             fc.server.sloUs = pt.sloUs;
@@ -216,7 +219,7 @@ constexpr Axis kAxes[] = {
         .label = "cap%gW", .cell = "%g", .heading = "cap W",
         .flag = "--caps", .metavar = "N,M",
         .help = "package power-cap levels in watts\n"
-                "                    (0 = uncapped; docs/POWERCAP.md)",
+                "(0 = uncapped; docs/POWERCAP.md)",
         .rule = "package budget must be >= 0 W, 0 = uncapped",
         .apply = [](const GridPoint &pt, FleetConfig &fc) {
             fc.server.cap.capWatts = pt.capWatts;
@@ -225,7 +228,7 @@ constexpr Axis kAxes[] = {
         .key = "policy", .column = 6,
         .heading = "policy", .flag = "--policies",
         .help = "routing policies (fleet mode only;\n"
-                "                    default round-robin)",
+                "default round-robin)",
         .assign = [](const Spec &s, std::size_t i, GridPoint &pt) {
             pt.policy = s.fleetSizes.empty() ? ""
                         : s.policies.empty() ? "round-robin"

@@ -53,10 +53,13 @@ struct Axis
     const char *cell = "%s";
     /** awsweep summary heading (nullptr = no column). */
     const char *heading = nullptr;
-    /** awsweep flag (nullptr = none) and its usage text. */
+    /** awsweep flag (nullptr = none), its usage text (each '\n'
+     *  continues it on an indented line) and the name table that
+     *  text lists (nullptr = none). */
     const char *flag = nullptr;
     const char *metavar = "A,B";
     const char *help = nullptr;
+    const std::vector<std::string> &(*names)() = nullptr;
     /** Numeric values must be finite and > 0 (positive) or >= 0;
      *  rule says which in the fatal() message. */
     bool positive = false;

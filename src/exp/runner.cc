@@ -133,23 +133,16 @@ cachedConfig(const std::string &name)
 
 } // namespace
 
-PointResult
-SweepRunner::runPoint(const ExperimentSpec &spec, const GridPoint &pt)
+void
+shapeRun(const ExperimentSpec &spec, RunSpec &run)
 {
-    RunSpec run{.profile = cachedProfile(pt.workload),
-                .qps = pt.qps,
-                .seconds = spec.seconds,
-                .warmupSeconds = spec.warmupSeconds};
+    run.seconds = spec.seconds;
+    run.warmupSeconds = spec.warmupSeconds;
     auto &fc = run.fleet;
-    fc.server = cachedConfig(pt.config);
-    fc.seed = pt.seed;
     fc.fleetThreads = spec.fleetThreads;
     fc.epochSeconds = spec.epochSeconds;
     if (spec.cores > 0)
         fc.server.cores = spec.cores;
-    for (const Axis &a : axes())
-        if (a.apply && a.shown(pt))
-            a.apply(pt, fc);
     if (spec.thermal)
         fc.server.cap.thermalEnabled = true;
     if (!spec.dispatch.empty())
@@ -159,6 +152,19 @@ SweepRunner::runPoint(const ExperimentSpec &spec, const GridPoint &pt)
             spec.timelineIntervalSeconds;
     if (spec.traceRequests)
         run.trace.emplace();
+}
+
+PointResult
+SweepRunner::runPoint(const ExperimentSpec &spec, const GridPoint &pt)
+{
+    RunSpec run{.profile = cachedProfile(pt.workload), .qps = pt.qps};
+    auto &fc = run.fleet;
+    fc.server = cachedConfig(pt.config);
+    fc.seed = pt.seed;
+    for (const Axis &a : axes())
+        if (a.apply && a.shown(pt))
+            a.apply(pt, fc);
+    shapeRun(spec, run);
 
     // Cap metrics ride the extras channel only when the spec engaged
     // the subsystem, so no-axis artifacts keep their pre-cap schema

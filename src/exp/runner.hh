@@ -70,6 +70,14 @@ struct RunOutput
 RunOutput simulate(RunSpec run);
 
 /**
+ * Copy @p spec's run shaping into @p run, whose fleet.server is
+ * already configured: the window, core count, dispatch, thermal
+ * coupling, fleet threads, epoch, timeline and trace. Every sweep
+ * point and awsim's shared flags resolve through it.
+ */
+void shapeRun(const ExperimentSpec &spec, RunSpec &run);
+
+/**
  * Metrics of one executed grid point. The simulation fields are
  * filled by the default point function (single-server and fleet
  * runs alike; for a single server, power is the package power and

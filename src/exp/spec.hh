@@ -75,28 +75,28 @@ struct ExperimentSpec
      *  default, leaving the grid identical to a spec without the
      *  axis. "oracle" is single-server only (it needs per-core
      *  arrival foreknowledge) and is rejected on fleet grids. */
-    std::vector<std::string> governors;
+    std::vector<std::string> governors{};
     /** Frequency-governor specs (freq::makeFreqPolicy names, e.g.
      *  "performance", "ondemand", "racetohalt"). Empty = each
      *  config's static operating point (base, or Pn under runAtPn),
      *  leaving the grid -- and every emitted artifact -- identical
      *  to a spec without the axis. */
-    std::vector<std::string> freqPolicies;
+    std::vector<std::string> freqPolicies{};
     /** Per-request latency-SLO axis in microseconds (freq::
      *  LatencyQoS). Empty = unconstrained; a 0 value inside the
      *  axis also means unconstrained, so one grid can compare
      *  with/without an SLO. */
-    std::vector<double> sloUs;
+    std::vector<double> sloUs{};
     /** Package power-cap axis in watts (cap::CapConfig::capWatts).
      *  Empty = uncapped; a 0 value inside the axis also means
      *  uncapped, so one grid can compare capped against uncapped.
      *  Leaving the axis empty keeps the grid -- and every emitted
      *  artifact -- identical to a spec without the axis. */
-    std::vector<double> capWatts;
-    std::vector<std::string> policies;
-    std::vector<unsigned> fleetSizes;
+    std::vector<double> capWatts{};
+    std::vector<std::string> policies{};
+    std::vector<unsigned> fleetSizes{};
     std::vector<double> qps{100e3};
-    std::vector<std::string> variants;
+    std::vector<std::string> variants{};
     unsigned replicas = 1;
     /** @} */
 
@@ -146,7 +146,7 @@ struct ExperimentSpec
 
     /** Dispatch-policy override applied to every point ("" = each
      *  config's default; see server::dispatchPolicyNames()). */
-    std::string dispatch;
+    std::string dispatch{};
 
     /** Worker threads WITHIN each fleet point (FleetConfig::
      *  fleetThreads): the per-server phase of a fleet run

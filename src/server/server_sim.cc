@@ -13,16 +13,17 @@ ServerSim::ServerSim(ServerConfig cfg,
                      workload::WorkloadProfile profile,
                      double total_qps)
     : _cfg(std::move(cfg)), _profile(std::move(profile)),
-      _totalQps(total_qps), _dispatchRng(_cfg.seed + 999331),
-      _package(_cfg.packageParams)
+      _totalQps(total_qps), _package(_cfg.packageParams)
 {
     if (total_qps <= 0.0)
         sim::fatal("ServerSim: offered load must be positive");
 
     const bool packing = _cfg.dispatch == DispatchPolicy::Packing;
     buildCores(packing ? 0.0 : total_qps / _cfg.cores);
-    if (packing)
+    if (packing) {
         _dispatchArrivals = _profile.makeArrivals(total_qps);
+        _dispatchRng = std::make_unique<sim::Rng>(_cfg.seed + 999331);
+    }
 }
 
 ServerSim::ServerSim(ServerConfig cfg,
@@ -31,13 +32,23 @@ ServerSim::ServerSim(ServerConfig cfg,
     : _cfg(std::move(cfg)), _profile(std::move(profile)),
       _totalQps(arrivals ? arrivals->ratePerSec() : 0.0),
       _dispatchArrivals(std::move(arrivals)),
-      _dispatchRng(_cfg.seed + 999331), _package(_cfg.packageParams)
+      _dispatchRng(std::make_unique<sim::Rng>(_cfg.seed + 999331)),
+      _package(_cfg.packageParams)
 {
     if (!_dispatchArrivals)
         sim::fatal("ServerSim: null arrival stream");
     // All requests flow through the central dispatcher, so cores do
     // not generate their own arrivals.
     buildCores(0.0);
+}
+
+std::size_t
+ServerSim::engineBytes() const
+{
+    std::size_t bytes = _dispatchRng ? sizeof(sim::Rng) : 0;
+    for (const auto &core : _cores)
+        bytes += core->engineBytes();
+    return bytes;
 }
 
 void
@@ -249,14 +260,14 @@ ServerSim::pickPackingTarget()
 void
 ServerSim::scheduleNextDispatch()
 {
-    const sim::Tick gap = _dispatchArrivals->nextGap(_dispatchRng);
+    const sim::Tick gap = _dispatchArrivals->nextGap(*_dispatchRng);
     // A finite (non-looping) trace signals its end with kMaxTick.
     if (gap >= sim::kMaxTick - _sim.now())
         return;
     _sim.scheduleIn(gap, [this]() {
         workload::Request req;
         req.arrival = _sim.now();
-        req.demand = _profile.service().draw(_dispatchRng);
+        req.demand = _profile.service().draw(*_dispatchRng);
         const std::size_t target =
             _cfg.dispatch == DispatchPolicy::Packing
                 ? pickPackingTarget()

@@ -168,6 +168,11 @@ class ServerSim
      */
     void setCapSchedule(std::vector<cap::BudgetSpan> spans);
 
+    /** Bytes of RNG engine state the server holds outside itself:
+     *  the central dispatcher's engine, if it dispatches, plus every
+     *  core's (CoreSim::engineBytes()). */
+    std::size_t engineBytes() const;
+
   private:
     /** Shared constructor body: validate and build the cores. */
     void buildCores(double per_core_rate);
@@ -213,9 +218,10 @@ class ServerSim
     /** @} */
 
     /** Central dispatcher state (Packing policy or an external
-     *  arrival stream). */
+     *  arrival stream); both null under Static dispatch, whose cores
+     *  draw their own arrivals. */
     std::unique_ptr<workload::ArrivalProcess> _dispatchArrivals;
-    sim::Rng _dispatchRng{1};
+    std::unique_ptr<sim::Rng> _dispatchRng;
     std::uint64_t _nextDispatchId = 0;
     std::size_t _rrNext = 0; //!< round-robin cursor (Static dispatch)
 

@@ -14,11 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "cluster/routing.hh"
-#include "cstate/governors.hh"
-#include "exp/spec.hh"
-#include "freq/policies.hh"
-#include "server/config.hh"
+#include "exp/cli.hh"
 
 namespace {
 
@@ -62,20 +58,23 @@ listsName(const std::string &text, const std::string &name)
 
 TEST(AwsimTool, HelpListsEveryTableName)
 {
-    // The usage text is hand-written; every row of every name table
-    // must show up in it, so a new row cannot go unadvertised.
+    // Every name-valued row of the flag table lists its name table in
+    // its help text, so a new name cannot go unadvertised.
     const auto [code, out] = runCommand(std::string(AWSIM_BIN) +
                                         " --help");
     ASSERT_EQ(code, 0);
-    for (const auto *names :
-         {&aw::exp::workloadNames(), &aw::exp::configNames(),
-          &aw::cstate::governorKinds(), &aw::freq::freqPolicyKinds(),
-          &aw::cluster::routingPolicyNames(),
-          &aw::server::dispatchPolicyNames()}) {
-        ASSERT_FALSE(names->empty());
-        for (const auto &name : *names)
-            EXPECT_TRUE(listsName(out, name)) << name;
+    aw::exp::SimArgs args;
+    unsigned tables = 0;
+    for (const aw::exp::Flag &flag : aw::exp::awsimFlags(args)) {
+        if (!flag.names)
+            continue;
+        ++tables;
+        ASSERT_FALSE(flag.names().empty()) << flag.name;
+        for (const auto &name : flag.names())
+            EXPECT_TRUE(listsName(out, name)) << flag.name << ' ' << name;
     }
+    // workload, config, governor, DVFS governor, route, dispatch.
+    EXPECT_EQ(tables, 6u);
 }
 
 TEST(AwsimTool, BasicRunProducesMetrics)
@@ -219,7 +218,9 @@ INSTANTIATE_TEST_SUITE_P(
                 "needs a load shape"},
         BadFlag{"--fleet 2 --route round-robin --pack-cap 3",
                 "needs --route pack-first"},
-        BadFlag{"--fleet 2 --pack-cap 3", "needs --route pack-first"}));
+        BadFlag{"--fleet 2 --pack-cap 3", "needs --route pack-first"},
+        BadFlag{"--fleet 2 --route pack-first --pack-cap 0",
+                "need at least 1"}));
 
 TEST(AwsimTool, DeterministicForFixedSeed)
 {

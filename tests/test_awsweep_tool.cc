@@ -18,8 +18,7 @@
 #include <sstream>
 #include <string>
 
-#include "cstate/governors.hh"
-#include "freq/policies.hh"
+#include "exp/cli.hh"
 
 namespace {
 
@@ -70,20 +69,26 @@ TEST(AwsweepTool, HelpExitsZeroAndDocumentsTheKernelKnobs)
 
 TEST(AwsweepTool, HelpListsEveryGovernorName)
 {
-    // The axis help text is hand-written; every row of the idle and
-    // DVFS governor tables must show up in it as a whole word.
+    // Every name-valued row of the flag table (the idle and DVFS
+    // governor axes, --dispatch) lists its name table in its help
+    // text as whole words.
     const auto [code, out] =
         runCommand(std::string(AWSWEEP_BIN) + " --help");
     ASSERT_EQ(code, 0);
-    for (const auto *names :
-         {&aw::cstate::governorKinds(), &aw::freq::freqPolicyKinds()}) {
-        ASSERT_FALSE(names->empty());
-        for (const auto &name : *names)
+    aw::exp::SweepArgs args;
+    unsigned tables = 0;
+    for (const aw::exp::Flag &flag : aw::exp::awsweepFlags(args)) {
+        if (!flag.names)
+            continue;
+        ++tables;
+        ASSERT_FALSE(flag.names().empty()) << flag.name;
+        for (const auto &name : flag.names())
             EXPECT_TRUE(std::regex_search(
                 out, std::regex("(^|[^A-Za-z0-9_-])" + name +
                                 "($|[^A-Za-z0-9_-])")))
-                << name;
+                << flag.name << ' ' << name;
     }
+    EXPECT_EQ(tables, 3u);
 }
 
 TEST(AwsweepTool, SmallSweepPrintsTheSummaryTable)
@@ -180,6 +185,9 @@ INSTANTIATE_TEST_SUITE_P(
         BadFlag{"--workloads nope", "unknown workload"},
         BadFlag{"--governors nope", "unknown governor"},
         BadFlag{"--freq-governors nope",
-                "unknown frequency governor"}));
+                "unknown frequency governor"},
+        // An empty list is an error, not an unswept axis.
+        BadFlag{"--fleet ''", "--fleet: needs at least one value"},
+        BadFlag{"--governors ,", "--governors: needs at least one value"}));
 
 } // namespace

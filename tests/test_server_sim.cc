@@ -192,6 +192,30 @@ TEST(ServerSim, ExternalTraceReplayIsDeterministic)
     EXPECT_DOUBLE_EQ(a.p99LatencyUs, b.p99LatencyUs);
 }
 
+TEST(ServerSim, OnlyADispatchingServerHoldsADispatcherEngine)
+{
+    // Static dispatch: each core draws its own arrivals and the
+    // server holds no dispatcher engine. Packing and trace replay
+    // dispatch centrally: one engine, and none in the cores.
+    const auto profile = workload::WorkloadProfile::memcached();
+    ServerConfig cfg = ServerConfig::baseline();
+    cfg.snoopRatePerSec = 0.0;
+    const ServerSim spread(cfg, profile, 50e3);
+    EXPECT_EQ(spread.engineBytes(), cfg.cores * sizeof(Rng));
+
+    cfg.dispatch = DispatchPolicy::Packing;
+    const ServerSim packed(cfg, profile, 50e3);
+    EXPECT_EQ(packed.engineBytes(), sizeof(Rng));
+
+    cfg.dispatch = DispatchPolicy::Static;
+    const ServerSim replay(
+        cfg, profile,
+        std::make_unique<workload::TraceArrivals>(
+            workload::ArrivalTrace(std::vector<Tick>(4, fromUs(10.0))),
+            /*loop=*/true));
+    EXPECT_EQ(replay.engineBytes(), sizeof(Rng));
+}
+
 TEST(ServerSimDeathTest, RejectsNullArrivalStream)
 {
     const auto profile = workload::WorkloadProfile::memcached();

@@ -19,105 +19,59 @@
  * never fast-to-slow.
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "analysis/table.hh"
-#include "exp/axis.hh"
+#include "exp/cli.hh"
 #include "exp/emit.hh"
 #include "exp/perf.hh"
 #include "sim/logging.hh"
-
-namespace {
+#include "sim/registry.hh"
 
 using namespace aw;
-
-void
-usage()
-{
-    std::printf(
-        "awperf -- simulation-kernel speed telemetry\n\n"
-        "  --list            print the pinned scenarios and exit\n"
-        "  --scenarios A,B   run only the named scenarios\n"
-        "  --repeat N        timed repeats per scenario, keep the\n"
-        "                    best wall clock (default 3)\n"
-        "  --json FILE       write the aw-perf/1 JSON document\n"
-        "  --quiet           no summary table, just artifacts\n");
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> names;
-    unsigned repeat = 3;
-    std::string json_path;
-    bool quiet = false;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                sim::fatal("%s needs a value", flag);
-            return argv[++i];
-        };
-        if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else if (arg == "--list") {
-            for (const auto &s : exp::perfScenarios())
-                std::printf("%-18s %s\n", s.name.c_str(),
-                            s.description.c_str());
-            return 0;
-        } else if (arg == "--scenarios" || arg == "--scenario") {
-            names = exp::splitList(next(arg.c_str()));
-        } else if (arg == "--repeat") {
-            repeat = exp::parseUnsigned("--repeat", next("--repeat"));
-            if (repeat == 0)
-                sim::fatal("--repeat must be >= 1");
-        } else if (arg == "--json") {
-            json_path = next("--json");
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else {
-            usage();
-            sim::fatal("unknown argument '%s'", arg.c_str());
-        }
+    exp::PerfArgs a;
+    if (!exp::parseFlags(argc, argv,
+                         "awperf -- simulation-kernel speed telemetry",
+                         exp::awperfFlags(a)))
+        return 0;
+    const auto &all = exp::perfScenarios();
+    if (a.list) {
+        std::size_t width = 0;
+        for (const auto &s : all)
+            width = std::max(width, s.name.size());
+        for (const auto &s : all)
+            std::printf("%-*s %s\n", static_cast<int>(width),
+                        s.name.c_str(), s.description.c_str());
+        return 0;
     }
 
+    if (a.scenarios.empty())
+        a.scenarios = sim::registryNames(all);
     std::vector<const exp::PerfScenario *> selected;
-    if (names.empty()) {
-        for (const auto &s : exp::perfScenarios())
-            selected.push_back(&s);
-    } else {
-        for (const auto &name : names) {
-            const auto *s = exp::findPerfScenario(name);
-            if (!s) {
-                std::string known;
-                for (const auto &k : exp::perfScenarios()) {
-                    if (!known.empty())
-                        known += '|';
-                    known += k.name;
-                }
-                sim::fatal("unknown scenario '%s' (%s)",
-                           name.c_str(), known.c_str());
-            }
-            selected.push_back(s);
-        }
+    for (const auto &name : a.scenarios) {
+        const auto *s = exp::findPerfScenario(name);
+        if (!s)
+            sim::fatal("unknown scenario '%s' (%s)", name.c_str(),
+                       sim::joinNames(all).c_str());
+        selected.push_back(s);
     }
 
     std::vector<exp::PerfMeasurement> runs;
     runs.reserve(selected.size());
     for (const auto *s : selected)
-        runs.push_back(exp::measurePerfScenario(*s, repeat));
+        runs.push_back(exp::measurePerfScenario(*s, a.repeat));
 
-    if (!quiet) {
+    if (!a.quiet) {
         std::printf("awperf scenarios=%zu repeat=%u (wall = best "
                     "of repeats)\n\n",
-                    runs.size(), repeat);
+                    runs.size(), a.repeat);
         analysis::TableWriter t({"scenario", "wall s", "sim s",
                                  "sim/wall", "events", "events/s",
                                  "req/s"});
@@ -134,10 +88,10 @@ main(int argc, char **argv)
         t.print();
     }
 
-    if (!json_path.empty()) {
-        exp::writeFile(json_path, exp::perfToJson(runs));
-        if (!quiet)
-            std::printf("\nartifact: json=%s\n", json_path.c_str());
+    if (!a.json.empty()) {
+        exp::writeFile(a.json, exp::perfToJson(runs));
+        if (!a.quiet)
+            std::printf("\nartifact: json=%s\n", a.json.c_str());
     }
     return 0;
 }

@@ -16,8 +16,8 @@
  * Run `awsim --help` for the knob list.
  */
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "analysis/power_model.hh"
@@ -25,164 +25,36 @@
 #include "analysis/table.hh"
 #include "analysis/trace.hh"
 #include "cluster/fleet.hh"
-#include "exp/axis.hh"
+#include "exp/cli.hh"
 #include "exp/emit.hh"
 #include "exp/runner.hh"
 #include "exp/spec.hh"
 #include "sim/logging.hh"
-#include "workload/trace.hh"
 
 namespace {
 
 using namespace aw;
-using exp::configByName;
-using exp::parseDouble;
-using exp::parseUint64;
-using exp::parseUnsigned;
-using exp::profileByName;
 
-void
-usage()
+/** A counter as a table cell. */
+std::string
+countCell(std::uint64_t n)
 {
-    std::printf(
-        "awsim -- AgileWatts C-state server simulator\n\n"
-        "  --workload NAME   memcached|mysql|kafka|specpower|nginx|"
-        "spark|hive\n"
-        "  --config NAME     baseline|aw|nt_baseline|nt_no_c6|"
-        "nt_no_c6_no_c1e|nt_aw|\n"
-        "                    t_no_c6|t_no_c6_no_c1e|t_aw|c1c6|"
-        "c1only|aw_c6a\n"
-        "  --governor SPEC   idle governor: menu|teo|ladder|"
-        "static:<state>|oracle\n"
-        "                    (default menu; oracle is single-server "
-        "static\n"
-        "                    dispatch only)\n"
-        "  --freq-governor SPEC  DVFS governor: performance|"
-        "powersave|\n"
-        "                    ondemand|conservative|racetohalt\n"
-        "                    (default: the static operating point)\n"
-        "  --slo US          per-request latency SLO in us "
-        "(PM-QoS):\n"
-        "                    disables idle states too slow to wake\n"
-        "                    within it and floors the DVFS ladder\n"
-        "  --cap WATTS       RAPL-style package power cap "
-        "(0 = uncapped):\n"
-        "                    clamps the DVFS ladder, then injects\n"
-        "                    forced idle (docs/POWERCAP.md)\n"
-        "  --thermal         couple the RC thermal model; trips "
-        "feed the\n"
-        "                    same throttle ladder as budget "
-        "overshoot\n"
-        "  --dispatch NAME   request-to-core mapping: "
-        "static|packing\n"
-        "  --qps N           offered load, requests/s (default "
-        "100000)\n"
-        "  --seconds S       measured window (default: sized to "
-        "the rate)\n"
-        "  --warmup S        warmup (default: window/10)\n"
-        "  --cores N         core count (default 10)\n"
-        "  --seed N          RNG seed (default 42)\n"
-        "  --snoops N        snoop probes/s/core (default 0)\n"
-        "  --packing         CARB-style packing dispatch\n"
-        "  --package         enable PC2/PC6 package states\n"
-        "  --pn              run the active state at Pn (0.8 GHz)\n"
-        "  --estimate-aw     also print the Eq. 4 AW estimate "
-        "(single\n"
-        "                    server only)\n"
-        "  --trace FILE      replay inter-arrival gaps from FILE\n"
-        "                    (CSV, one gap in us per value; loops)\n"
-        "  --timeline FILE   write the run's interval telemetry as\n"
-        "                    aw-timeline/3 CSV (docs/TELEMETRY.md)\n"
-        "  --timeline-json FILE  the same telemetry as JSON, plus "
-        "the\n"
-        "                    C-state transition map\n"
-        "  --timeline-interval S  sampling interval in sim seconds\n"
-        "                    (default 0.01 when a timeline file is "
-        "given)\n"
-        "  --trace-requests FILE  write per-request spans as "
-        "aw-trace/1\n"
-        "                    CSV (docs/TRACING.md)\n"
-        "  --trace-requests-json FILE  write the tail-latency\n"
-        "                    attribution (all/p99/p99.9 cohorts) as "
-        "JSON\n"
-        "  --trace-chrome FILE  write a Chrome trace_event JSON "
-        "loadable\n"
-        "                    in Perfetto / chrome://tracing\n"
-        "\nfleet mode (--fleet):\n"
-        "  --fleet N         simulate N servers behind a balancer\n"
-        "  --route NAME      round-robin|random|least-outstanding|"
-        "pack-first|\n"
-        "                    route-to-headroom (cap-aware: favors "
-        "the\n"
-        "                    server with the most watt headroom)\n"
-        "                    (default round-robin)\n"
-        "  --pack-cap N      pack-first spill threshold "
-        "(default cores/2;\n"
-        "                    needs --route pack-first)\n"
-        "  --diurnal A       sinusoidal diurnal load, amplitude A "
-        "in [0,1]\n"
-        "  --diurnal-period S  length of one simulated \"day\" "
-        "(default 1 s;\n"
-        "                    needs --diurnal or --flash)\n"
-        "  --flash SPIKE     flash-crowd load: SPIKE x the base "
-        "rate\n"
-        "                    for the middle quarter of each "
-        "--diurnal-period\n"
-        "                    (extra traffic, not renormalized; "
-        "excludes\n"
-        "                    --diurnal)\n"
-        "  --fleet-threads N worker threads for the per-server "
-        "phase\n"
-        "                    (default 1; results are bit-identical "
-        "at any N)\n"
-        "  --epoch S         routing-decision epoch length in sim "
-        "seconds\n"
-        "                    (default: one epoch; results are "
-        "identical\n"
-        "                    for any value)\n");
+    return analysis::cell("%llu", static_cast<unsigned long long>(n));
 }
-
-/** --timeline/--timeline-json/--timeline-interval, resolved. */
-struct TimelineOpts
-{
-    std::string csvPath;
-    std::string jsonPath;
-    double intervalSeconds = 0.0;
-
-    bool enabled() const
-    {
-        return !csvPath.empty() || !jsonPath.empty();
-    }
-};
-
-/** --trace-requests/--trace-requests-json/--trace-chrome. */
-struct TraceOpts
-{
-    std::string csvPath;
-    std::string jsonPath;
-    std::string chromePath;
-
-    bool enabled() const
-    {
-        return !csvPath.empty() || !jsonPath.empty() ||
-               !chromePath.empty();
-    }
-};
 
 /** Write the requested aw-trace/1 artifacts for one series and
  *  print its tail-attribution summary. */
 void
 writeRequestTrace(const analysis::TraceSeries &series,
-                  const std::string &label, const TraceOpts &tr)
+                  const std::string &label, const exp::SimArgs &a)
 {
-    if (!tr.csvPath.empty())
-        exp::writeFile(tr.csvPath, analysis::traceCsv(series));
-    if (!tr.jsonPath.empty())
-        exp::writeFile(tr.jsonPath,
+    if (!a.shared.traceCsv.empty())
+        exp::writeFile(a.shared.traceCsv, analysis::traceCsv(series));
+    if (!a.shared.traceJson.empty())
+        exp::writeFile(a.shared.traceJson,
                        analysis::attributionJson(series, label));
-    if (!tr.chromePath.empty())
-        exp::writeFile(tr.chromePath,
-                       analysis::chromeTraceJson(series));
+    if (!a.traceChrome.empty())
+        exp::writeFile(a.traceChrome, analysis::chromeTraceJson(series));
 
     const auto attr = analysis::attributeTail(series);
     std::printf("\ntrace: spans=%llu dropped=%llu "
@@ -200,9 +72,7 @@ writeRequestTrace(const analysis::TraceSeries &series,
                      {"p99.9", attr.p999}};
     for (const auto &[name, st] : cohorts) {
         at.addRow({name,
-                   analysis::cell("%llu",
-                                  static_cast<unsigned long long>(
-                                      st.count)),
+                   countCell(st.count),
                    analysis::cell("%.1f%%", 100 * st.wakeShare),
                    analysis::cell("%.1f%%", 100 * st.queueShare),
                    analysis::cell("%.1f%%", 100 * st.serviceShare),
@@ -214,20 +84,20 @@ writeRequestTrace(const analysis::TraceSeries &series,
 /** Write the requested aw-timeline/3 artifacts for one series. */
 void
 writeTimeline(const analysis::TimelineSeries &series,
-              const std::string &label, const TimelineOpts &tl)
+              const std::string &label, const exp::SharedFlags &o)
 {
-    if (!tl.csvPath.empty())
-        exp::writeFile(tl.csvPath, analysis::timelineCsv(series));
-    if (!tl.jsonPath.empty())
-        exp::writeFile(tl.jsonPath,
+    if (!o.timelineCsv.empty())
+        exp::writeFile(o.timelineCsv, analysis::timelineCsv(series));
+    if (!o.timelineJson.empty())
+        exp::writeFile(o.timelineJson,
                        analysis::timelineJson(series, label));
     std::printf("\ntimeline: intervals=%llu dropped=%llu%s%s%s%s\n",
                 static_cast<unsigned long long>(series.emitted),
                 static_cast<unsigned long long>(series.dropped),
-                tl.csvPath.empty() ? "" : " csv=",
-                tl.csvPath.c_str(),
-                tl.jsonPath.empty() ? "" : " json=",
-                tl.jsonPath.c_str());
+                o.timelineCsv.empty() ? "" : " csv=",
+                o.timelineCsv.c_str(),
+                o.timelineJson.empty() ? "" : " json=",
+                o.timelineJson.c_str());
 }
 
 /** The header's DVFS, SLO and power-cap annotations. */
@@ -254,9 +124,7 @@ addWindowRows(analysis::TableWriter &t, const Result &r)
 {
     t.addRow({"window (s)",
               analysis::cell("%.3f", sim::toSec(r.window))});
-    t.addRow({"requests", analysis::cell(
-                              "%llu", static_cast<unsigned long long>(
-                                          r.requests))});
+    t.addRow({"requests", countCell(r.requests)});
     t.addRow({"achieved qps",
               analysis::cell("%.0f", r.achievedQps)});
 }
@@ -282,9 +150,7 @@ addCapRows(analysis::TableWriter &t, const cap::CapConfig &cap,
         return;
     t.addRow({"cap throttled",
               analysis::cell("%.1f%%", 100 * r.capThrottleShare)});
-    t.addRow({"forced-idle naps",
-              analysis::cell("%llu", static_cast<unsigned long long>(
-                                         r.forcedIdleNaps))});
+    t.addRow({"forced-idle naps", countCell(r.forcedIdleNaps)});
     if (cap.thermalEnabled)
         t.addRow({"max temp (C)", analysis::cell("%.1f", r.maxTempC)});
 }
@@ -333,12 +199,8 @@ printFleet(const cluster::FleetConfig &fleet_cfg,
     for (unsigned i = 0; i < r.servers; ++i) {
         const auto &s = r.perServer[i];
         ps.addRow({analysis::cell("%u", i),
-                   analysis::cell("%llu",
-                                  static_cast<unsigned long long>(
-                                      r.routedPerServer[i])),
-                   analysis::cell("%llu",
-                                  static_cast<unsigned long long>(
-                                      s.requests)),
+                   countCell(r.routedPerServer[i]),
+                   countCell(s.requests),
                    analysis::cell("%.2f", s.packagePower),
                    analysis::cell(
                        "%.1f%%",
@@ -379,14 +241,9 @@ printServer(const cluster::FleetConfig &fc, const server::RunResult &r)
     t.addRow({"transitions/request",
               analysis::cell("%.3f", r.transitionsPerRequest)});
     t.addRow({"mispredicted entries",
-              analysis::cell("%llu",
-                             static_cast<unsigned long long>(
-                                 r.mispredictedEntries))});
+              countCell(r.mispredictedEntries)});
     if (!cfg.freqPolicy.empty()) {
-        t.addRow({"P-state ramps",
-                  analysis::cell("%llu",
-                                 static_cast<unsigned long long>(
-                                     r.freqTransitions))});
+        t.addRow({"P-state ramps", countCell(r.freqTransitions)});
         t.addRow({"ramp energy (J)",
                   analysis::cell("%.4f", r.freqTransitionEnergyJ)});
     }
@@ -417,233 +274,38 @@ printServer(const cluster::FleetConfig &fc, const server::RunResult &r)
 int
 main(int argc, char **argv)
 {
-    exp::RunSpec run{.profile = profileByName("memcached"),
-                     .qps = 100e3};
+    exp::SimArgs a;
+    if (!exp::parseFlags(argc, argv,
+                         "awsim -- AgileWatts C-state server simulator",
+                         exp::awsimFlags(a)))
+        return 0;
+
+    auto &run = a.run;
     auto &fc = run.fleet;
-    std::string config_name = "baseline";
-    std::string governor; //!< empty = config default ("menu")
-    std::string freq_governor; //!< empty = static operating point
-    double slo_us = 0.0;  //!< 0 = unconstrained
-    double cap_watts = 0.0; //!< 0 = uncapped
-    bool thermal = false;
-    std::string dispatch; //!< empty = config default ("static")
-    unsigned cores = 10;
-    double snoops = 0.0;
-    bool packing = false;
-    bool package = false;
-    bool pn = false;
-    bool estimate_aw = false;
-    double diurnal = 0.0;
-    double diurnal_period = 1.0;
-    bool diurnal_period_set = false;
-    bool pack_cap_set = false;
-    double flash = 0.0;
-    TimelineOpts timeline;
-    TraceOpts reqtrace;
-    const char *fleet_flag = nullptr; //!< last fleet-only flag seen
+    exp::shapeRun(a.shaping, run);
+    fc.seed = a.shaping.seed;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                sim::fatal("%s needs a value", flag);
-            return argv[++i];
-        };
-        if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else if (arg == "--workload") {
-            run.profile = profileByName(next("--workload"));
-        } else if (arg == "--config") {
-            config_name = next("--config");
-        } else if (arg == "--governor") {
-            governor = next("--governor");
-        } else if (arg == "--freq-governor") {
-            freq_governor = next("--freq-governor");
-        } else if (arg == "--slo") {
-            slo_us = parseDouble("--slo", next("--slo"));
-            if (slo_us <= 0.0)
-                sim::fatal("--slo: latency SLO must be a positive "
-                           "number of microseconds (got %g)",
-                           slo_us);
-        } else if (arg == "--cap") {
-            cap_watts = parseDouble("--cap", next("--cap"));
-            if (cap_watts < 0.0)
-                sim::fatal("--cap: package budget must be >= 0 "
-                           "watts (0 = uncapped; got %g)",
-                           cap_watts);
-        } else if (arg == "--thermal") {
-            thermal = true;
-        } else if (arg == "--dispatch") {
-            dispatch = next("--dispatch");
-        } else if (arg == "--qps") {
-            run.qps = parseDouble("--qps", next("--qps"));
-            if (run.qps <= 0.0)
-                sim::fatal("--qps: offered load must be positive "
-                           "(got %g)",
-                           run.qps);
-        } else if (arg == "--seconds") {
-            run.seconds = parseDouble("--seconds", next("--seconds"));
-            if (run.seconds < 0.0)
-                sim::fatal("--seconds: window must be >= 0 "
-                           "(0 = auto-sized; got %g)",
-                           run.seconds);
-        } else if (arg == "--warmup") {
-            run.warmupSeconds = parseDouble("--warmup", next("--warmup"));
-            if (run.warmupSeconds < 0.0)
-                sim::fatal("--warmup: must be >= 0 (omit the flag "
-                           "for the window/10 default; got %g)",
-                           run.warmupSeconds);
-        } else if (arg == "--cores") {
-            cores = parseUnsigned("--cores", next("--cores"));
-            if (cores == 0)
-                sim::fatal("--cores: need at least 1 core");
-        } else if (arg == "--seed") {
-            fc.seed = parseUint64("--seed", next("--seed"));
-        } else if (arg == "--snoops") {
-            snoops = parseDouble("--snoops", next("--snoops"));
-            if (snoops < 0.0)
-                sim::fatal("--snoops: rate must be >= 0 (got %g)",
-                           snoops);
-        } else if (arg == "--packing") {
-            packing = true;
-        } else if (arg == "--package") {
-            package = true;
-        } else if (arg == "--pn") {
-            pn = true;
-        } else if (arg == "--estimate-aw") {
-            estimate_aw = true;
-        } else if (arg == "--trace") {
-            run.arrivals = workload::ArrivalTrace::loadCsv(next("--trace"));
-        } else if (arg == "--timeline") {
-            timeline.csvPath = next("--timeline");
-        } else if (arg == "--timeline-json") {
-            timeline.jsonPath = next("--timeline-json");
-        } else if (arg == "--trace-requests") {
-            reqtrace.csvPath = next("--trace-requests");
-        } else if (arg == "--trace-requests-json") {
-            reqtrace.jsonPath = next("--trace-requests-json");
-        } else if (arg == "--trace-chrome") {
-            reqtrace.chromePath = next("--trace-chrome");
-        } else if (arg == "--timeline-interval") {
-            timeline.intervalSeconds = parseDouble(
-                "--timeline-interval", next("--timeline-interval"));
-            if (timeline.intervalSeconds <= 0.0)
-                sim::fatal("--timeline-interval: must be positive");
-        } else if (arg == "--fleet") {
-            fc.servers = parseUnsigned("--fleet", next("--fleet"));
-            if (fc.servers == 0)
-                sim::fatal("--fleet: need at least 1 server");
-        } else if (arg == "--route") {
-            fc.routing = next("--route");
-            fleet_flag = "--route";
-        } else if (arg == "--pack-cap") {
-            fc.packCapacity =
-                parseUnsigned("--pack-cap", next("--pack-cap"));
-            pack_cap_set = true;
-            fleet_flag = "--pack-cap";
-        } else if (arg == "--diurnal") {
-            diurnal = parseDouble("--diurnal", next("--diurnal"));
-            fleet_flag = "--diurnal";
-        } else if (arg == "--diurnal-period") {
-            diurnal_period = parseDouble("--diurnal-period",
-                                         next("--diurnal-period"));
-            diurnal_period_set = true;
-            fleet_flag = "--diurnal-period";
-        } else if (arg == "--flash") {
-            flash = parseDouble("--flash", next("--flash"));
-            if (flash <= 0.0)
-                sim::fatal("--flash: spike multiplier must be "
-                           "positive (got %g)",
-                           flash);
-            fleet_flag = "--flash";
-        } else if (arg == "--fleet-threads") {
-            fc.fleetThreads = parseUnsigned("--fleet-threads",
-                                            next("--fleet-threads"));
-            if (fc.fleetThreads == 0)
-                sim::fatal("--fleet-threads: need at least 1 "
-                           "worker thread");
-            fleet_flag = "--fleet-threads";
-        } else if (arg == "--epoch") {
-            fc.epochSeconds = parseDouble("--epoch", next("--epoch"));
-            if (fc.epochSeconds <= 0.0)
-                sim::fatal("--epoch: epoch length must be positive "
-                           "(omit the flag for one epoch spanning "
-                           "the run; got %g)",
-                           fc.epochSeconds);
-            fleet_flag = "--epoch";
-        } else {
-            usage();
-            sim::fatal("unknown argument '%s'", arg.c_str());
-        }
-    }
-
-    auto &cfg = fc.server = configByName(config_name);
-    cfg.cores = cores;
-    cfg.snoopRatePerSec = snoops;
-    cfg.runAtPn = pn;
-    cfg.packageCStatesEnabled = package;
-    if (!governor.empty())
-        cfg.governor = governor;
-    if (!freq_governor.empty())
-        cfg.freqPolicy = freq_governor;
-    cfg.sloUs = slo_us;
-    cfg.cap.capWatts = cap_watts;
-    cfg.cap.thermalEnabled = thermal;
-    if (packing && !dispatch.empty() && dispatch != "packing")
-        sim::fatal("--packing conflicts with --dispatch %s",
-                   dispatch.c_str());
-    if (packing)
-        dispatch = "packing";
-    if (!dispatch.empty())
-        cfg.dispatch = server::dispatchPolicyByName(dispatch);
-
-    if (fc.servers == 0 && fleet_flag)
-        sim::fatal("%s requires --fleet N", fleet_flag);
-    if (pack_cap_set && fc.routing != "pack-first")
-        sim::fatal("--pack-cap needs --route pack-first (route '%s' "
-                   "has no spill threshold)",
-                   fc.routing.c_str());
-    if (fc.servers > 0 && estimate_aw)
-        sim::fatal("--estimate-aw is single-server only (it reads "
-                   "one server's residencies); drop --fleet");
-    if (timeline.enabled() && timeline.intervalSeconds <= 0.0)
-        timeline.intervalSeconds = 0.01;
-    if (!timeline.enabled() && timeline.intervalSeconds > 0.0)
-        sim::fatal("--timeline-interval needs --timeline or "
-                   "--timeline-json");
-    if (diurnal < 0.0 || diurnal > 1.0)
-        sim::fatal("--diurnal: amplitude must be in [0, 1]");
-    if ((diurnal > 0.0 || flash > 0.0) && diurnal_period <= 0.0)
-        sim::fatal("--diurnal-period: must be positive");
-    if (diurnal_period_set && diurnal == 0.0 && flash == 0.0)
-        sim::fatal("--diurnal-period needs a load shape (--diurnal "
-                   "or --flash)");
-    if (diurnal > 0.0 && flash > 0.0)
-        sim::fatal("--flash conflicts with --diurnal (pick one "
-                   "load shape)");
-    if (diurnal > 0.0)
+    if (a.diurnal > 0.0 && a.flash > 0.0)
+        sim::fatal("--flash conflicts with --diurnal (pick one load "
+                   "shape)");
+    if (a.diurnal > 0.0)
         fc.schedule = cluster::RateSchedule::sinusoidal(
-            sim::fromSec(diurnal_period), diurnal);
-    else if (flash > 0.0)
+            sim::fromSec(a.diurnalPeriod), a.diurnal);
+    if (a.flash > 0.0)
         fc.schedule = cluster::RateSchedule::flashCrowd(
-            sim::fromSec(diurnal_period), flash);
-    if (timeline.enabled())
-        run.timeline.emplace().intervalSeconds = timeline.intervalSeconds;
-    if (reqtrace.enabled())
-        run.trace.emplace();
+            sim::fromSec(a.diurnalPeriod), a.flash);
 
     const auto out = exp::simulate(run);
 
     const std::string label =
-        out.fleet ? printFleet(fc, *out.fleet, flash > 0.0)
+        out.fleet ? printFleet(fc, *out.fleet, a.flash > 0.0)
                   : printServer(fc, *out.server);
     if (out.timeline)
-        writeTimeline(*out.timeline, label, timeline);
+        writeTimeline(*out.timeline, label, a.shared);
     if (out.trace)
-        writeRequestTrace(*out.trace, label, reqtrace);
+        writeRequestTrace(*out.trace, label, a);
 
-    if (estimate_aw && out.server) {
+    if (a.estimateAw && out.server) {
         core::AwCoreModel aw_model;
         const analysis::CStatePowerModel model(
             server::StatePowers::fromModels(aw_model.ppa()));
